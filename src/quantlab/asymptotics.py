@@ -75,9 +75,10 @@ def coeff_sequence(m: Measure, p, s: float, budgets, solver: str = "auto",
     """One scaled-error entry per budget via the designated solver pipeline.
 
     solver: "dp" (exact 1D), "lloyd", "cantor" (exact middle-thirds covers,
-    p = inf only), or "auto" which picks dp for 1D densities, cantor for the
-    Cantor-measure/p=inf pair, and lloyd otherwise. Entries that fail are
-    recorded as gaps (NaN) with the exception message in the provenance.
+    p = inf only), or "auto" which picks dp for 1D densities with an exact
+    law (restrictions have none), cantor for the Cantor-measure/p=inf pair,
+    and lloyd otherwise. Entries that fail are recorded as gaps (NaN) with
+    the exception message in the provenance.
     """
     p = check_order(p)
     budgets = [int(n) for n in budgets]
@@ -87,7 +88,7 @@ def coeff_sequence(m: Measure, p, s: float, budgets, solver: str = "auto",
     if solver == "auto":
         if math.isinf(p) and m.kind == "ifs":
             solver = "cantor"
-        elif m.kind == "density1d" and not math.isinf(p):
+        elif m.kind == "density1d" and m.law is not None and not math.isinf(p):
             solver = "dp"
         else:
             solver = "lloyd"
@@ -180,6 +181,9 @@ def zador_functional(m: Measure, m_dim: int, p, n_mc: int = 1 << 16, seed=0) -> 
         if m_dim != 1:
             raise ValueError("1D density declared; m_dim must be 1")
         law = m.law
+        if law is None:
+            raise ValueError("1D measure has no exact law (e.g. a restriction); "
+                             "the functional needs its density on the support")
         total = 0.0
         for a, b in zip(law.breakpoints[:-1], law.breakpoints[1:]):
             val, _ = quad(lambda t: float(law.pdf(np.array([t]))[0]) ** exponent,

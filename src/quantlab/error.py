@@ -180,9 +180,13 @@ def error_mc(m: Measure, S, p, n: int, seed) -> ErrorEstimate:
 
 
 def error_eval(m: Measure, S, p, n_mc: int = 1 << 19, seed=0) -> ErrorEstimate:
-    """Route to the best available evaluator for the measure kind."""
+    """Route to the best available evaluator for the measure kind.
+
+    Restricted 1D densities and curves keep no exact law or arc-length
+    density, so they go to Monte Carlo.
+    """
     if m.kind == "density1d" and m.law is not None:
         return error_exact_1d(m, S, p)
-    if m.kind == "curve":
+    if m.kind == "curve" and m.density is not None:
         return error_curve(m, S, p)
     return error_mc(m, S, p, n_mc, seed)

@@ -243,8 +243,8 @@ def _centers_update(W, assign, S, p, dist):
     counts = np.bincount(assign, minlength=N)
     S_new = S.copy()
     if p == 2.0:
-        sums = np.zeros((N, d))
-        np.add.at(sums, assign, W)
+        sums = np.column_stack([np.bincount(assign, weights=W[:, c], minlength=N)
+                                for c in range(d)])
         ok = counts > 0
         S_new[ok] = sums[ok] / counts[ok, None]
     else:
@@ -372,22 +372,66 @@ class _CellOracle:
         return centers, self._moment_about(ls, rs, centers)
 
 
+def _layer_min(D, cost, k):
+    """One DP layer: E[j] = min over i of cost(i, j) + D[i], with its argmin.
+
+    Rows j < k cannot hold k cells and stay at inf (argmin 0). The lowest
+    argmin is nondecreasing in j, so rows are solved by divide and conquer:
+    each recursion level takes the middle row of every open row range, scans
+    only the candidates between the argmins of the rows bounding it, and
+    splits the range there. A level is vectorised across all its ranges, so a
+    layer costs O(G log G) cell costs and O(G) memory. Ties go to the lowest
+    candidate, as with np.argmin.
+    """
+    G = D.size - 1
+    E = np.full(G + 1, np.inf)
+    arg = np.zeros(G + 1, dtype=np.int32)
+    # open row ranges [jlo, jhi] with candidate ranges [ilo, ihi]
+    jlo, jhi = np.array([k]), np.array([G])
+    ilo, ihi = np.array([k - 1]), np.array([G - 1])
+    while jlo.size:
+        mid = (jlo + jhi) // 2
+        n = np.minimum(ihi, mid - 1) - ilo + 1
+        starts = np.cumsum(n) - n
+        i = np.arange(starts[-1] + n[-1]) - np.repeat(starts - ilo, n)
+        v = cost(i, np.repeat(mid, n)) + D[i]
+        best = np.minimum.reduceat(v, starts)
+        hits = np.flatnonzero(v == np.repeat(best, n))
+        opt = i[hits[np.searchsorted(hits, starts)]]
+        E[mid] = best
+        arg[mid] = opt
+        left, right = jlo < mid, mid < jhi
+        jlo, jhi, ilo, ihi = (np.concatenate([jlo[left], mid[right] + 1]),
+                              np.concatenate([mid[left] - 1, jhi[right]]),
+                              np.concatenate([ilo[left], opt[right]]),
+                              np.concatenate([opt[left], ihi[right]]))
+    return E, arg
+
+
 class Dp1dSolver:
     """Globally optimal 1D quantizers on a boundary grid, for all N at once.
 
-    Cell boundaries are restricted to a uniform grid, per-cell optimal costs
-    are closed-form (constant density, p in {1,2}) or vectorized
-    golden-section, and a layered DP finds optimal boundaries for every
-    budget up to n_max. `solve` refines the grid solution by alternating
-    exact cell centers with midpoint boundaries until stationary.
+    Cell boundaries are restricted to a uniform grid of G cells, per-cell
+    optimal costs are closed-form (constant density, p in {1,2}) or
+    vectorized golden-section, and a layered DP finds optimal boundaries for
+    every budget up to n_max. With closed-form costs each layer is a
+    monotone row minimum solved by divide and conquer: O(G log G) time, and
+    O(G) memory besides the (n_max, G) backpointers, since costs come on
+    demand from the G+1 nodal moments. General p evaluates the golden-section
+    costs once into a (G+1)^2 table and takes a dense O(G^2) minimum per
+    layer. `solve` refines the grid solution by alternating exact cell
+    centers with midpoint boundaries until stationary.
     """
 
     def __init__(self, m: Measure, p, n_max: int, grid_size: int | None = None):
         p = check_order(p)
         if math.isinf(p):
             raise ValueError("dp solver handles finite p only")
-        if m.law is None or m.kind != "density1d":
+        if m.kind != "density1d":
             raise ValueError("dp solver needs a density1d measure")
+        if m.law is None:
+            raise ValueError("dp solver needs the exact law of the density1d "
+                             "measure, and this one has none (e.g. a restriction)")
         law = m.law
         general = law.constant is None and p not in (1.0, 2.0)
         if grid_size is None:
@@ -402,30 +446,41 @@ class Dp1dSolver:
         self.oracle = _CellOracle(law, p)
 
         G = grid_size
-        ii, jj = np.triu_indices(G + 1, k=1)
-        if law.constant is None and p in (1.0, 2.0):
-            nodal = law.moments(self.grid)  # one pass; pairs index into it
-            ml = tuple(a[ii] for a in nodal)
-            mr = tuple(a[jj] for a in nodal)
-            _, costs = self.oracle.centers_costs(self.grid[ii], self.grid[jj],
-                                                 moments_l=ml, moments_r=mr)
+        # D[j] = optimal cost of covering [grid[0], grid[j]] with k cells
+        if general:
+            # Golden-section costs, on a rule that ignores breakpoints inside
+            # a cell, break the Monge property that makes the row argmin
+            # monotone (the monotone minimum was 7% off on a density with a
+            # gap at p=3), so they are tabulated and each layer scans all cells.
+            ii, jj = np.triu_indices(G + 1, k=1)
+            CT = np.full((G + 1, G + 1), np.inf)  # CT[j, i]: cost of [grid[i], grid[j]]
+            CT[jj, ii] = self.oracle.centers_costs(self.grid[ii], self.grid[jj])[1]
+            D = CT[:, 0].copy()
         else:
-            _, costs = self.oracle.centers_costs(self.grid[ii], self.grid[jj])
-        C = np.full((G + 1, G + 1), np.inf)
-        C[ii, jj] = costs
-        CT = np.ascontiguousarray(C.T)
-
-        # D[k][j] = optimal cost of covering [grid[0], grid[j]] with k cells
-        D = C[0].copy()
+            cost = self._closed_form_costs()
+            D = np.full(G + 1, np.inf)
+            D[1:] = cost(np.zeros(G, dtype=int), np.arange(1, G + 1))
         back = np.zeros((self.n_max + 1, G + 1), dtype=np.int32)
         self._grid_V = {1: float(D[G])}
         for k in range(2, self.n_max + 1):
-            M = CT + D[None, :]
-            arg = np.argmin(M, axis=1)
-            D = M[np.arange(G + 1), arg]
-            back[k] = arg
+            if general:
+                M = CT + D[None, :]
+                back[k] = np.argmin(M, axis=1)
+                D = M[np.arange(G + 1), back[k]]
+            else:
+                D, back[k] = _layer_min(D, cost, k)
             self._grid_V[k] = float(D[G])
         self._back = back
+
+    def _closed_form_costs(self):
+        """cost(i, j): optimal cost of the cells [grid[i], grid[j]], i < j."""
+        grid, oracle = self.grid, self.oracle
+        if oracle.constant is not None:
+            return lambda i, j: oracle.centers_costs(grid[i], grid[j])[1]
+        nodal = oracle.law.moments(grid)  # one pass; cells index into it
+        return lambda i, j: oracle.centers_costs(
+            grid[i], grid[j], moments_l=tuple(a[i] for a in nodal),
+            moments_r=tuple(a[j] for a in nodal))[1]
 
     def grid_boundaries(self, N: int) -> np.ndarray:
         """Interior cell boundaries of the grid-optimal N-cell solution."""

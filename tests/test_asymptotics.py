@@ -251,3 +251,25 @@ def test_quantizability_probe_edge_cases():
                                    seed=1, cfg=cfg)
     assert rows[0].mass == pytest.approx(1.0)
     assert ql.quantizability_probe(m, 2, 1.0, []) == []
+
+
+def test_quantizability_probe_on_a_curve():
+    arc = ql.hausdorff_curve_measure(ql.quarter_circle(64))
+    cfg = ql.SolverConfig(restarts=1, max_iters=20, working_sample=2000,
+                          eval_samples=2000)
+    rows = ql.quantizability_probe(arc, 2, 1.0, [0.5], budgets=(4, 8),
+                                   seed=0, cfg=cfg)
+    assert len(rows) == 1
+    assert 0 < rows[0].mass < arc.total_mass
+    assert np.isfinite(rows[0].q_upper_est) and rows[0].q_upper_est > 0
+
+
+def test_restricted_density1d_has_no_exact_law():
+    half = ql.restrict(ql.uniform_interval(), lambda x: x[0] <= 0.5)
+    cfg = ql.SolverConfig(restarts=1, max_iters=30, working_sample=2000,
+                          eval_samples=2000)
+    series = ql.coeff_sequence(half, 2, 1.0, [4, 8], cfg=cfg)
+    assert [row[0] for row in series.provenance] == ["lloyd", "lloyd"]
+    assert np.isfinite(series.scaled).all()
+    with pytest.raises(ValueError, match="no exact law"):
+        ql.zador_functional(half, 1, 2)

@@ -200,3 +200,15 @@ def test_exact_vs_monte_carlo():
         mc = ql.error_mc(m, S, p, n=200000, seed=int(rng.integers(1 << 30)))
         v_exact = exact.value ** p
         assert abs(mc.value ** p - v_exact) <= 4 * mc.std_err + 1e-12
+
+
+def test_restricted_curve_routes_to_monte_carlo():
+    # a restricted curve keeps no arc-length density, so no exact quadrature
+    arc = ql.restrict(ql.hausdorff_curve_measure(ql.quarter_circle(64)),
+                      lambda x: x[0] >= 0.5)
+    assert arc.density is None
+    cfg = ql.SolverConfig(restarts=1, max_iters=20, working_sample=2000,
+                          eval_samples=2000)
+    q = ql.lloyd(arc, 4, 2, cfg, seed=0)
+    assert q.error.method == "montecarlo"
+    assert q.error.n_samples == 2000 and 0 < q.error.value < 1

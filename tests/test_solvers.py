@@ -160,6 +160,22 @@ def test_lloyd_rejects_infinite_p():
         ql.lloyd(ql.uniform_interval(), 2, np.inf, CFG, seed=0)
 
 
+def test_center_step_matches_sequential_sums():
+    # the p=2 centre step against per-cell sums accumulated in sample order
+    from quantlab.solvers import _centers_update
+
+    rng = np.random.default_rng(5)
+    W = rng.normal(size=(5000, 3))
+    S = rng.normal(size=(9, 3))
+    assign = rng.integers(0, 8, size=5000)  # cell 8 stays empty
+    sums = np.zeros((9, 3))
+    np.add.at(sums, assign, W)
+    counts = np.bincount(assign, minlength=9)
+    S_new, reseeded = _centers_update(W, assign, S, 2.0, rng.random(5000))
+    assert reseeded
+    assert np.array_equal(S_new[:8], sums[:8] / counts[:8, None])
+
+
 # ---------------------------------------------------------------------------
 # 1D dynamic programming
 
