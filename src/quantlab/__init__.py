@@ -7,8 +7,7 @@ Zador-type predictions.
 """
 
 from .asymptotics import (AllocationResult, CoeffSeries, CoefficientEstimate,
-                          coeff_sequence, default_budget_ladder,
-                          estimate_coefficients, make_series,
+                          coeff_sequence, estimate_coefficients, make_series,
                           optimal_allocation, p_prime, quantizability_probe,
                           spatial_histogram, zador_constant_1d,
                           zador_functional, zador_prediction)

@@ -55,20 +55,6 @@ def make_series(budgets, errors, p, s, provenance=()) -> CoeffSeries:
                        tuple(provenance))
 
 
-def default_budget_ladder(n0: int = 8, n_max: int = 256) -> list:
-    """Geometric ladder ceil(n0 * 2^(k/2)), deduplicated, through n_max."""
-    out = []
-    k = 0
-    while True:
-        n = math.ceil(n0 * 2.0 ** (k / 2.0))
-        if n > n_max:
-            break
-        if not out or n > out[-1]:
-            out.append(n)
-        k += 1
-    return out
-
-
 def coeff_sequence(m: Measure, p, s: float, budgets, solver: str = "auto",
                    seed=0, cfg: SolverConfig | None = None,
                    grid_size: int | None = None) -> CoeffSeries:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
+from .asymptotics import p_prime
 from .error import check_order
 from .measures import Measure, derive_seed, sample
 from .spatial import omega
@@ -40,10 +41,6 @@ class BoundReport:
         return out
 
 
-def p_prime_finite(p: float, s: float) -> float:
-    return s * p / (s + p)
-
-
 def density_bound_constants(p, s: float):
     """Sandwich constants (C1, C2, p') for density-normalized theta values.
 
@@ -55,7 +52,7 @@ def density_bound_constants(p, s: float):
         raise ValueError("constants defined for finite p")
     if s <= 0:
         raise ValueError("s must be positive")
-    pp = p_prime_finite(p, s)
+    pp = p_prime(p, s)
     w = omega(s) ** (-p / (s + p))
     c1 = 2.0 ** (-pp) * w * (s / (s + p)) ** (s / (s + p))
     c2 = 2.0 ** pp * w
@@ -76,7 +73,7 @@ def conc_lower_bound(theta: float, s: float, p, mass: float) -> BoundReport:
         raise ValueError("theta must be positive")
     if mass < 0:
         raise ValueError("mass must be nonnegative")
-    pp = p_prime_finite(p, s)
+    pp = p_prime(p, s)
     raw = (s / (s + p)) ** (s / (s + p)) * theta ** (-p / (s + p)) * mass
     return BoundReport("concentration-lower", raw ** (1.0 / pp), "lower",
                        inputs={"theta": theta, "s": s, "p": p, "mass": mass,
@@ -94,7 +91,7 @@ def conc_upper_bound(theta: float, s: float, p, mass: float) -> BoundReport:
         value = (2.0 ** s * mass / theta) ** (1.0 / s)
         pp = s
     else:
-        pp = p_prime_finite(p, s)
+        pp = p_prime(p, s)
         value = (2.0 ** pp * theta ** (-p / (s + p)) * mass) ** (1.0 / pp)
     return BoundReport("concentration-upper", value, "upper",
                        inputs={"theta": theta, "s": s, "p": p, "mass": mass,

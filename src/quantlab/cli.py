@@ -406,7 +406,7 @@ def write_report(path, report):
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
-def run_config(cfg: dict, out_dir: str, threads: int = 1, verbose: bool = False) -> dict:
+def run_config(cfg: dict, out_dir: str, verbose: bool = False) -> dict:
     validate_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
@@ -418,7 +418,6 @@ def run_config(cfg: dict, out_dir: str, threads: int = 1, verbose: bool = False)
         "config": cfg,
         "results": results,
         "seed_trace": {"root": cfg["seed"]},
-        "threads": threads,
         "versions": {"quantlab": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "wall_time_s": time.time() - t0,
@@ -429,7 +428,7 @@ def run_config(cfg: dict, out_dir: str, threads: int = 1, verbose: bool = False)
     return report
 
 
-_NON_NUMERIC_KEYS = {"wall_time_s", "threads"}
+_NON_NUMERIC_KEYS = {"wall_time_s"}
 
 
 def _diff_reports(a, b, path="$"):
@@ -476,7 +475,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--verbose", action="store_true")
 
     p_cmp = sub.add_parser("compare", help="diff two run reports")
@@ -512,14 +510,13 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    threads = int(os.environ.get("QUANTLAB_THREADS", args.threads))
     try:
         validate_config(cfg)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
     try:
-        run_config(cfg, args.out, threads=threads, verbose=args.verbose)
+        run_config(cfg, args.out, verbose=args.verbose)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,17 +21,12 @@ from .measures import (Law1D, Measure, cantor_cylinders, derive_seed,
                        piecewise_uniform, sample)
 from .spatial import PointCloud, _as_points
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass
 class SolverConfig:
     max_iters: int = 200
     rel_tol: float = 1e-9
     restarts: int = 8
-    empty_cell_policy: str = "reseed-at-farthest"
-    inner_1d_tol: float = 1e-10
     working_sample: int | None = None  # default 1e5 * max(1, d/2)
     eval_samples: int = 1 << 19
 
@@ -313,8 +308,12 @@ def lloyd(m: Measure, N: int, p, cfg: SolverConfig | None = None, seed=0) -> Qua
 class _CellOracle:
     """Optimal single-point cost of interval cells [l, r] for one (law, p).
 
-    Works from cumulative moments, so cost evaluation never re-integrates the
-    density; the general-p fall-back runs a vectorized golden section.
+    p in {1, 2} works from cumulative moments and a constant density from
+    its closed form, so neither re-integrates the density. Other p bisect
+    the first-order condition for the centre and integrate the cost with
+    `Law1D.cell_integral`, which splits every cell at its centre and at the
+    law's breakpoints, so no kink or jump falls inside a quadrature piece.
+    That keeps the costs Monge, as the DP's monotone layer minimum needs.
     """
 
     def __init__(self, law: Law1D, p: float):
@@ -344,32 +343,33 @@ class _CellOracle:
             m0m, m1m, _ = self.law.moments(med)
             costs = (m1r - m1m) - med * (m0r - m0m) + med * (m0m - m0l) - (m1m - m1l)
             return med, np.maximum(np.where(mass > 0, costs, 0.0), 0.0)
-        return self._golden(ls, rs)
+        centers = self._bisect_centers(ls, rs)
+        return centers, self.law.cell_integral(ls, rs, centers,
+                                               lambda y: np.abs(y) ** self.p)
 
-    def _moment_about(self, ls, rs, a):
-        """Vectorized GL quadrature of |x-a|^p rho over [l, a] plus [a, r]."""
-        out = np.zeros_like(a)
-        for lo, hi in ((ls, a), (a, rs)):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            x = mid[..., None] + half[..., None] * _GL_NODES
-            fx = np.asarray(self.law.pdf(x), dtype=float)
-            fx = np.broadcast_to(fx, x.shape)
-            out = out + np.sum(half[..., None] * _GL_WEIGHTS * fx
-                               * np.abs(x - a[..., None]) ** self.p, axis=-1)
+    def _bisect_centers(self, ls, rs):
+        """Root of the integral of sign(x-a)|x-a|^(p-1) rho, decreasing in a.
+
+        Each cell halves its bracket until no float lies strictly inside, so
+        a centre depends on its own cell only; zero-mass cells keep the
+        midpoint.
+        """
+        law, q = self.law, self.p - 1.0
+        slope = lambda y: np.copysign(np.abs(y) ** q, y)
+        out = 0.5 * (ls + rs)
+        idx = np.flatnonzero(law.cell_integral(ls, rs, ls, np.ones_like) > 0)
+        ls, rs = ls[idx], rs[idx]
+        lo, hi = ls, rs
+        while idx.size:
+            a = 0.5 * (lo + hi)
+            inside = (lo < a) & (a < hi)
+            if not inside.all():
+                out[idx[~inside]] = a[~inside]
+                idx, ls, rs, lo, hi = (v[inside] for v in (idx, ls, rs, lo, hi))
+                continue
+            up = law.cell_integral(ls, rs, a, slope) > 0
+            lo, hi = np.where(up, a, lo), np.where(up, hi, a)
         return out
-
-    def _golden(self, ls, rs, iters=60):
-        a = ls.astype(float).copy()
-        b = rs.astype(float).copy()
-        for _ in range(iters):
-            c = b - _INVPHI * (b - a)
-            d = a + _INVPHI * (b - a)
-            left = self._moment_about(ls, rs, c) < self._moment_about(ls, rs, d)
-            b = np.where(left, d, b)
-            a = np.where(left, a, c)
-        centers = 0.5 * (a + b)
-        return centers, self._moment_about(ls, rs, centers)
 
 
 def _layer_min(D, cost, k):
@@ -411,16 +411,15 @@ def _layer_min(D, cost, k):
 class Dp1dSolver:
     """Globally optimal 1D quantizers on a boundary grid, for all N at once.
 
-    Cell boundaries are restricted to a uniform grid of G cells, per-cell
+    Cell boundaries are restricted to a uniform grid of G cells, and a
+    layered DP finds optimal boundaries for every budget up to n_max. Per-cell
     optimal costs are closed-form (constant density, p in {1,2}) or
-    vectorized golden-section, and a layered DP finds optimal boundaries for
-    every budget up to n_max. With closed-form costs each layer is a
-    monotone row minimum solved by divide and conquer: O(G log G) time, and
-    O(G) memory besides the (n_max, G) backpointers, since costs come on
-    demand from the G+1 nodal moments. General p evaluates the golden-section
-    costs once into a (G+1)^2 table and takes a dense O(G^2) minimum per
-    layer. `solve` refines the grid solution by alternating exact cell
-    centers with midpoint boundaries until stationary.
+    integrated piecewise by `Law1D.cell_integral` around a bisected centre
+    (other p), and come on demand. Every layer is a monotone row minimum
+    solved by divide and conquer: O(G log G) cell costs and O(G) memory
+    besides the (n_max, G) backpointers. `solve` refines the grid solution
+    by alternating exact cell centers with midpoint boundaries until
+    stationary.
     """
 
     def __init__(self, m: Measure, p, n_max: int, grid_size: int | None = None):
@@ -446,36 +445,21 @@ class Dp1dSolver:
         self.oracle = _CellOracle(law, p)
 
         G = grid_size
+        cost = self._costs()
         # D[j] = optimal cost of covering [grid[0], grid[j]] with k cells
-        if general:
-            # Golden-section costs, on a rule that ignores breakpoints inside
-            # a cell, break the Monge property that makes the row argmin
-            # monotone (the monotone minimum was 7% off on a density with a
-            # gap at p=3), so they are tabulated and each layer scans all cells.
-            ii, jj = np.triu_indices(G + 1, k=1)
-            CT = np.full((G + 1, G + 1), np.inf)  # CT[j, i]: cost of [grid[i], grid[j]]
-            CT[jj, ii] = self.oracle.centers_costs(self.grid[ii], self.grid[jj])[1]
-            D = CT[:, 0].copy()
-        else:
-            cost = self._closed_form_costs()
-            D = np.full(G + 1, np.inf)
-            D[1:] = cost(np.zeros(G, dtype=int), np.arange(1, G + 1))
+        D = np.full(G + 1, np.inf)
+        D[1:] = cost(np.zeros(G, dtype=int), np.arange(1, G + 1))
         back = np.zeros((self.n_max + 1, G + 1), dtype=np.int32)
         self._grid_V = {1: float(D[G])}
         for k in range(2, self.n_max + 1):
-            if general:
-                M = CT + D[None, :]
-                back[k] = np.argmin(M, axis=1)
-                D = M[np.arange(G + 1), back[k]]
-            else:
-                D, back[k] = _layer_min(D, cost, k)
+            D, back[k] = _layer_min(D, cost, k)
             self._grid_V[k] = float(D[G])
         self._back = back
 
-    def _closed_form_costs(self):
+    def _costs(self):
         """cost(i, j): optimal cost of the cells [grid[i], grid[j]], i < j."""
         grid, oracle = self.grid, self.oracle
-        if oracle.constant is not None:
+        if oracle.constant is not None or self.p not in (1.0, 2.0):
             return lambda i, j: oracle.centers_costs(grid[i], grid[j])[1]
         nodal = oracle.law.moments(grid)  # one pass; cells index into it
         return lambda i, j: oracle.centers_costs(

@@ -209,14 +209,6 @@ def test_bounds_task_with_sandwich(tmp_path):
     assert res["lower"]["value"] == pytest.approx(0.28867513, abs=1e-7)
 
 
-def test_threads_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("QUANTLAB_THREADS", "4")
-    cfg = write_cfg(tmp_path, "c.json", UNIFORM_COEFF)
-    out = str(tmp_path / "out")
-    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
-    assert read_report(out)["threads"] == 4
-
-
 def test_build_measure_curve_requires_shape_or_vertices():
     with pytest.raises(ConfigError):
         build_measure({"kind": "curve"})

@@ -1,4 +1,5 @@
-"""The exact 1D DP against a dense O(G^2)-per-layer oracle, and its memory."""
+"""The exact 1D DP against a dense O(G^2)-per-layer oracle and against exact
+quadrature of its own points, and its memory."""
 
 import tracemalloc
 
@@ -15,6 +16,9 @@ def dense_dp(solver):
 
     Cell costs come from the solver's own oracle, one vectorized call over
     every cell; each layer is a dense min with np.argmin's lowest-index ties.
+    The solver's monotone layer minimum must reproduce it bit for bit at
+    every p, which needs Monge cell costs; general-p costs split at the
+    centre and at the breakpoints are.
     """
     grid, oracle = solver.grid, solver.oracle
     G = grid.size - 1
@@ -63,7 +67,7 @@ densities = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=densities, p=st.sampled_from([1.0, 2.0, 3.0]), G=st.integers(8, 96),
+@given(m=densities, p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), G=st.integers(8, 96),
        data=st.data())
 def test_dp_matches_dense_layer_min(m, p, G, data):
     n_max = data.draw(st.integers(1, G // 4), label="n_max")
@@ -74,16 +78,58 @@ def test_dp_matches_dense_layer_min(m, p, G, data):
         assert np.array_equal(solver.grid_boundaries(N), boundaries(N))
 
 
-def test_dp_memory_is_linear_in_grid():
-    # a dense layer at the 2048-cell default grid held ~290 MB of tables
+@pytest.mark.parametrize("p, n_max", [(2, 256), (3, 64)], ids=["p2", "p3"])
+def test_dp_memory_is_linear_in_grid(p, n_max):
+    # at the default grids (2048 cells at p=2, 512 at p=3) dense layers held
+    # ~290 MB of tables at p=2, and a tabulated general-p cost pass 183 MB
     m = ql.density1d(lambda x: 2 * np.asarray(x), (0, 1))
     tracemalloc.start()
     try:
-        ql.Dp1dSolver(m, 2, n_max=256)
+        ql.Dp1dSolver(m, p, n_max=n_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_general_p_refinement_never_rises_above_the_grid_optimum():
+    # inexact general-p cell costs let _refine end up to 189% above the grid
+    # optimum, and the reported value 0.14% off the exact error of its points
+    m = ql.density1d(lambda x: 2 * np.asarray(x), (0, 1))
+    solver = ql.Dp1dSolver(m, 3, n_max=64, grid_size=256)
+    for N in range(1, 65):
+        q = solver.solve(N)
+        assert q.error.value ** 3 <= solver.grid_value(N) * (1 + 1e-12)
+        exact = ql.error_exact_1d(m, q.points.ravel(), 3).value
+        assert q.error.value == pytest.approx(exact, rel=1e-10)
+
+
+def _step_density():
+    return ql.density1d(lambda x: np.where(np.asarray(x) < 0.4, 3.0, 0.5), (0.0, 1.0),
+                        breakpoints=[0.4])
+
+
+@pytest.mark.parametrize("m", [ql.piecewise_uniform([(0.0, 0.25), (0.75, 1.0)]),
+                               _step_density()], ids=["gapped", "step"])
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
+def test_general_p_value_is_exact_across_breakpoints(m, N):
+    # a cell rule blind to breakpoints reported 3-5% (gapped) and 0.9% (step) low
+    q = ql.dp_optimal_1d(m, N, 3)
+    exact = ql.error_exact_1d(m, q.points.ravel(), 3).value
+    assert q.error.value == pytest.approx(exact, rel=1e-10)
+
+
+def test_general_p_zero_mass_cells_keep_the_midpoint():
+    # a batch made only of zero-mass cells must return, not bisect forever
+    law = ql.piecewise_uniform([(0.0, 0.25), (0.75, 1.0)]).law
+    oracle = ql.solvers._CellOracle(law, 1.5)
+    ls, rs = np.array([0.3, 0.5]), np.array([0.5, 0.7])
+    centers, costs = oracle.centers_costs(ls, rs)
+    assert np.array_equal(centers, 0.5 * (ls + rs))
+    assert np.array_equal(costs, [0.0, 0.0])
+    centers, costs = oracle.centers_costs(np.array([0.5, 0.2]), np.array([0.7, 0.3]))
+    assert centers[0] == 0.6 and costs[0] == 0.0
+    assert 0.2 < centers[1] < 0.25 and costs[1] > 0
 
 
 def test_dp_needs_an_exact_law():
