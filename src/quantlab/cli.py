@@ -4,7 +4,7 @@ Subcommands: `run` executes a task pipeline from a schema-validated config,
 `compare` diffs two reports field by field, `schema` prints the config
 schema. All randomness flows from the mandatory config seed through named
 derived seeds, so reports are reproducible byte for byte in every numeric
-field regardless of thread count (the runner's reductions are fixed-order).
+field (the runner's reductions are fixed-order).
 Exit codes: 0 success, 2 config validation error, 3 numeric failure.
 """
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
@@ -418,9 +419,11 @@ class Dp1dSolver:
     (other p), and come on demand. Every layer is a monotone row minimum
     solved by divide and conquer: O(G log G) cell costs and O(G) memory
     besides the (n_max, G) backpointers. `solve` refines the grid solution
-    by alternating exact cell centers with midpoint boundaries until
-    stationary.
+    to the continuum stationary point by a safeguarded Newton loop, whose
+    Newton steps are kept only when they do not raise the cost.
     """
+
+    _TOL = 1e-13  # refinement stops at a stationarity residual below _TOL * span
 
     def __init__(self, m: Measure, p, n_max: int, grid_size: int | None = None):
         p = check_order(p)
@@ -442,6 +445,10 @@ class Dp1dSolver:
         self.p = p
         self.n_max = int(n_max)
         self.grid = np.linspace(law.lo, law.hi, grid_size + 1)
+        # a node an ulp off a breakpoint leaves a sliver cell whose quadrature
+        # reads the density's value across the jump, breaking cost ties
+        for x in law.breakpoints[1:-1]:
+            self.grid[np.abs(self.grid - x) <= 4 * np.spacing(abs(x))] = x
         self.oracle = _CellOracle(law, p)
 
         G = grid_size
@@ -481,96 +488,68 @@ class Dp1dSolver:
     def grid_value(self, N: int) -> float:
         return self._grid_V[N]
 
-    def _gmap(self, b):
-        """Midpoint-of-adjacent-centers map whose fixed points are stationary."""
-        lo, hi = self.grid[0], self.grid[-1]
-        edges = np.concatenate([[lo], b, [hi]])
-        centers, _ = self.oracle.centers_costs(edges[:-1], edges[1:])
-        return 0.5 * (centers[:-1] + centers[1:])
+    def _refine(self, b):
+        """Polish grid boundaries b to the continuum stationarity system.
 
-    def _refine(self, bounds, tol=1e-13, sweeps=40, newton_iters=12):
-        """Polish grid boundaries to the continuum stationarity system.
-
-        Plain sweeps damp the grid-snap oscillation quickly but relax smooth
-        deviation modes at rate 1 - O(1/N^2), so after a few sweeps a Newton
-        step with a finite-difference tridiagonal Jacobian finishes the job
-        (one step suffices for constant densities, where the map is linear).
+        Safeguarded Newton on F(b) = b - (c_left + c_right) / 2, where c are
+        the exact cell centres. A centre depends on its own cell's edges only,
+        so two more oracle passes, one moving every left edge in by eps and
+        one every right edge, difference all slopes of the tridiagonal
+        Jacobian at once. A Newton step is kept only if the edges stay ordered
+        and the cost does not rise; a step of at most eps skips the cost test,
+        which cannot resolve descent at that scale. Otherwise the midpoint map
+        b - F, a descent step, is taken: Newton alone from the grid optimum
+        can jump to another stationary point. Returns the centres, the cost,
+        the steps taken (each a Newton step or its midpoint fallback) and the
+        residual max|F| relative to the support.
         """
         lo, hi = self.grid[0], self.grid[-1]
         span = hi - lo
-        b = np.asarray(bounds, dtype=float).copy()
-        n = b.size
-        if n == 0:
-            return b
-        for _ in range(sweeps):
-            nb = self._gmap(b)
-            if np.max(np.abs(nb - b)) < tol * span:
-                return nb
-            b = nb
-
-        from scipy.linalg import solve_banded
-
         eps = 1e-7 * span
-        for _ in range(newton_iters):
-            F = b - self._gmap(b)
-            if np.max(np.abs(F)) < tol * span:
-                break
-            diag = np.ones(n)
-            sup = np.zeros(n)  # sup[j] = dF_{j-1}/db_j
-            sub = np.zeros(n)  # sub[j] = dF_{j+1}/db_j
-            for color in range(3):
-                mask = (np.arange(n) % 3) == color
-                bp = b.copy()
-                bp[mask] += eps
-                dF = ((bp - self._gmap(bp)) - F) / eps
-                for j in np.nonzero(mask)[0]:
-                    diag[j] = dF[j]
-                    if j > 0:
-                        sup[j] = dF[j - 1]
-                    if j + 1 < n:
-                        sub[j] = dF[j + 1]
-            ab = np.zeros((3, n))
-            ab[0, 1:] = sup[1:]
-            ab[1] = diag
-            ab[2, :-1] = sub[:-1]
+        cells = self.oracle.centers_costs
+
+        def state(b):
+            edges = np.concatenate([[lo], b, [hi]])
+            c, costs = cells(edges[:-1], edges[1:])
+            return edges, c, b - 0.5 * (c[:-1] + c[1:]), float(np.sum(costs))
+
+        edges, c, F, V = state(b)
+        steps = 0
+        while np.max(np.abs(F), initial=0.0) >= self._TOL * span and steps < 64:
+            steps += 1
+            dl = (cells(edges[:-1] + eps, edges[1:])[0] - c) / eps
+            dr = (c - cells(edges[:-1], edges[1:] - eps)[0]) / eps
+            # b_j is the right edge of cell j and the left edge of cell j+1;
+            # rows: super-, main and sub-diagonal of dF/db in banded form
+            J = np.array([np.r_[0.0, -0.5 * dr[1:-1]], 1.0 - 0.5 * (dr[:-1] + dl[1:]),
+                          np.r_[-0.5 * dl[1:-1], 0.0]])
             try:
-                step = solve_banded((1, 1), ab, F)
-            except Exception:
-                b = self._gmap(b)
-                continue
-            b_new = b - step
-            edges = np.concatenate([[lo], b_new, [hi]])
-            if np.all(np.diff(edges) > 0):
-                b = b_new
-            else:
-                b = self._gmap(b)
-        return b
+                nb = b - solve_banded((1, 1), J, F)
+            except np.linalg.LinAlgError:  # singular: the midpoint step
+                nb = b - F
+            new = state(nb)
+            if not (np.all(np.diff(new[0]) > 0)
+                    and (np.max(np.abs(nb - b)) <= eps or new[3] <= V)):
+                nb = b - F
+                new = state(nb)
+            b, (edges, c, F, V) = nb, new
+        return c, V, steps, float(np.max(np.abs(F), initial=0.0) / span)
 
-    def solve(self, N: int, refine: bool = True) -> Quantizer:
-        b = self.grid_boundaries(N)
-        if refine and N > 1:
-            b = self._refine(b)
-        lo, hi = self.grid[0], self.grid[-1]
-        edges = np.concatenate([[lo], b, [hi]])
-        centers, costs = self.oracle.centers_costs(edges[:-1], edges[1:])
-        centers = np.sort(centers)
-        V = float(np.sum(costs))
+    def solve(self, N: int) -> Quantizer:
+        centers, V, steps, residual = self._refine(self.grid_boundaries(N))
         err = ErrorEstimate(V ** (1.0 / self.p), 0.0, 0, "exact1d")
-        prov = Provenance("dp1d", None, 0, True,
+        prov = Provenance("dp1d", None, steps, residual < self._TOL,
                           details={"grid_size": len(self.grid) - 1,
-                                   "refined": bool(refine),
-                                   "grid_value": self.grid_value(N)})
-        return Quantizer(centers.reshape(-1, 1), N, self.p, err, prov)
+                                   "grid_value": self.grid_value(N),
+                                   "residual": residual})
+        return Quantizer(np.sort(centers).reshape(-1, 1), N, self.p, err, prov)
 
 
-def dp_optimal_1d(m: Measure, N: int, p, grid_size: int | None = None,
-                  refine: bool = True) -> Quantizer:
+def dp_optimal_1d(m: Measure, N: int, p, grid_size: int | None = None) -> Quantizer:
     """Exact (grid + refinement) optimal 1D quantizer for a density measure."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if grid_size is not None and N >= grid_size:
-        raise ValueError("N must be smaller than grid_size")
-    return Dp1dSolver(m, p, n_max=N, grid_size=grid_size).solve(N, refine=refine)
+    return Dp1dSolver(m, p, n_max=N, grid_size=grid_size).solve(N)
 
 
 # ---------------------------------------------------------------------------
