@@ -63,8 +63,9 @@ def coeff_sequence(m: Measure, p, s: float, budgets, solver: str = "auto",
     solver: "dp" (exact 1D), "lloyd", "cantor" (exact middle-thirds covers,
     p = inf only), or "auto" which picks dp for 1D densities with an exact
     law (restrictions have none), cantor for the Cantor-measure/p=inf pair,
-    and lloyd otherwise. Entries that fail are recorded as gaps (NaN) with
-    the exception message in the provenance.
+    and lloyd otherwise. A Lloyd entry that raises ValueError (a budget above
+    the working sample) is recorded as a gap (NaN) with the message in the
+    provenance; any other exception propagates.
     """
     p = check_order(p)
     budgets = [int(n) for n in budgets]
@@ -98,7 +99,7 @@ def coeff_sequence(m: Measure, p, s: float, budgets, solver: str = "auto",
                 q = lloyd(m, n, p, cfg=cfg, seed=derive_seed(seed, "coeff", n))
                 errors.append(q.error.value)
                 prov.append(("lloyd", n))
-            except Exception as exc:  # per-entry gap flag
+            except ValueError as exc:  # per-entry gap flag
                 errors.append(float("nan"))
                 prov.append(("gap", n, str(exc)))
     else:

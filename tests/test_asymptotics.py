@@ -222,6 +222,17 @@ def test_coeff_sequence_gap_flag_on_solver_failure():
     assert series.provenance[-1][0] == "gap"
 
 
+def test_coeff_sequence_other_solver_errors_propagate(monkeypatch):
+    # only ValueError becomes a gap; any other failure is a fault to report
+    def broken(*args, **kwargs):
+        raise FloatingPointError("solver fault")
+
+    monkeypatch.setattr("quantlab.asymptotics.lloyd", broken)
+    with pytest.raises(FloatingPointError, match="solver fault"):
+        ql.coeff_sequence(ql.uniform_box([0, 0], [1, 1]), 2, 2.0, [4, 8],
+                          solver="lloyd", seed=0)
+
+
 def test_allocation_consistency_split_budgets():
     # budgets split per the optimal beta reproduce the unsplit DP error
     p, s = 2.0, 1.0

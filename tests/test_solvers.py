@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import quantlab as ql
+from quantlab.solvers import _centers_update, _lloyd_restart, _seed_pp
 from quantlab.spatial import cloud_from_points
 
 
@@ -162,8 +166,6 @@ def test_lloyd_rejects_infinite_p():
 
 def test_center_step_matches_sequential_sums():
     # the p=2 centre step against per-cell sums accumulated in sample order
-    from quantlab.solvers import _centers_update
-
     rng = np.random.default_rng(5)
     W = rng.normal(size=(5000, 3))
     S = rng.normal(size=(9, 3))
@@ -174,6 +176,97 @@ def test_center_step_matches_sequential_sums():
     S_new, reseeded = _centers_update(W, assign, S, 2.0, rng.random(5000))
     assert reseeded
     assert np.array_equal(S_new[:8], sums[:8] / counts[:8, None])
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_center_step_general_p_matches_cell_masks(p, d):
+    # each cell gets the rows W[assign == k], in sample order
+    rng = np.random.default_rng(9)
+    W = rng.normal(size=(400, d))
+    S = rng.normal(size=(6, d))
+    assign = rng.integers(0, 5, size=400)  # cell 5 stays empty
+    S_new, reseeded = _centers_update(W, assign, S, p, rng.random(400))
+    assert reseeded
+    for k in range(5):
+        assert np.array_equal(S_new[k], ql.cell_center(W[assign == k], None, p))
+
+
+# --- the bounded assignment against a full query in every iteration ----------
+
+def _full_query_restart(W, S, p, cfg):
+    """Lloyd with every point queried on a kd-tree in every iteration."""
+    v_hist, reseeds = [], 0
+    converged = False
+    for _ in range(cfg.max_iters):
+        dist, assign = cKDTree(S).query(W)
+        V = float(np.mean(dist ** p))
+        v_hist.append(V)
+        if (len(v_hist) >= 2
+                and v_hist[-2] - V <= cfg.rel_tol * max(v_hist[-2], 1e-300)):
+            converged = True
+            break
+        S, reseeded = _centers_update(W, assign, S, p, dist)
+        reseeds += reseeded
+    return S, v_hist, converged, reseeds
+
+
+def _working_sample(kind, n, d, rng):
+    if kind == "uniform":
+        return rng.random((n, d))
+    if kind == "lattice":  # equidistant sites are common: exact ties
+        return rng.integers(0, 5, size=(n, d)) / 4.0
+    return np.repeat(rng.random((n // 4 + 1, d)), 4, axis=0)[:n]  # duplicates
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), N=st.integers(1, 12),
+       p=st.sampled_from([1.0, 2.0, 3.0]),
+       kind=st.sampled_from(["uniform", "lattice", "duplicated"]),
+       n=st.integers(30, 300), far_site=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_bounded_lloyd_matches_full_query(d, N, p, kind, n, far_site, seed):
+    rng = np.random.default_rng(seed)
+    W = _working_sample(kind, n, d, rng)
+    S0 = _seed_pp(W, np.full(n, 1.0), N, rng)  # may repeat a site: ties
+    far_site = far_site and N >= 2
+    if far_site:  # its cell is empty in the first step, which reseeds it
+        S0[-1] = 10.0
+    max_iters = 12 if p == 2.0 else 6
+    cfg = ql.SolverConfig(max_iters=max_iters, rel_tol=1e-12)
+    S, v_hist, converged, requeried = _lloyd_restart(W, S0.copy(), p, cfg)
+    S_ref, v_ref, conv_ref, reseeds = _full_query_restart(W, S0.copy(), p, cfg)
+    assert np.array_equal(S, S_ref)
+    assert v_hist == v_ref
+    assert converged == conv_ref
+    assert len(requeried) == len(v_hist) and requeried[0] == n
+    assert all(0 <= k <= n for k in requeried)
+    if far_site and len(v_hist) > 1:
+        assert reseeds >= 1
+
+
+def test_bounded_lloyd_high_dimension():
+    # at d = 8 numpy's norm and the tree's distance may differ in the last
+    # ulps; assignments, hence the p=2 centres, stay those of a full query
+    rng = np.random.default_rng(4)
+    W = rng.normal(size=(3000, 8))
+    S0 = _seed_pp(W, np.full(len(W), 1.0), 10, rng)
+    cfg = ql.SolverConfig(max_iters=25, rel_tol=1e-12)
+    S, v_hist, _, requeried = _lloyd_restart(W, S0.copy(), 2.0, cfg)
+    S_ref, v_ref, _, _ = _full_query_restart(W, S0.copy(), 2.0, cfg)
+    assert np.array_equal(S, S_ref)
+    assert len(v_hist) == len(v_ref)
+    assert np.allclose(v_hist, v_ref, rtol=1e-14, atol=0.0)
+    assert sum(requeried) < len(W) * len(v_hist)
+
+
+def test_lloyd_reports_requeried_points():
+    m = ql.uniform_box([0, 0], [1, 1])
+    cfg = ql.SolverConfig(restarts=2, working_sample=5000, eval_samples=20000)
+    q = ql.lloyd(m, 9, 2, cfg, seed=2)
+    requeried = q.provenance.details["requeried"]
+    assert len(requeried) == len(q.provenance.details["v_history"])
+    assert requeried[0] == 5000
+    assert max(requeried[1:]) < 5000
 
 
 # ---------------------------------------------------------------------------
