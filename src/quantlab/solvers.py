@@ -244,10 +244,8 @@ def _centers_update(W, assign, S, p, dist):
         ok = counts > 0
         S_new[ok] = sums[ok] / counts[ok, None]
     else:
-        # a stable sort keeps each cell's rows in sample order
-        cells = np.split(W[np.argsort(assign, kind="stable")], np.cumsum(counts)[:-1])
         for k in np.nonzero(counts > 0)[0]:
-            S_new[k] = cell_center(cells[k], None, p)
+            S_new[k] = cell_center(W[assign == k], None, p)
     empties = np.nonzero(counts == 0)[0]
     reseeded = len(empties) > 0
     if reseeded:
@@ -306,7 +304,13 @@ def _lloyd_restart(W, S, p, cfg):
             break
         S_new, _ = _centers_update(W, assign, S, p, dist)
         shift = np.linalg.norm(S_new - S, axis=1)
-        lower -= _other_max(shift)[assign] * (1.0 + 4.0 * np.finfo(float).eps)
+        # Rounding may only lower the bound. Each shift gets a relative slack
+        # of 1e-12, far above its few-ulp error, and each subtraction rounds
+        # down, so its error cannot build up over iterations. The few-ulp
+        # errors of the tree's second distance and of dist scale with that
+        # distance, at most lower + the shifts taken off it, which the two
+        # 1e-12 slacks (here and in the keep test) cover.
+        lower = np.nextafter(lower - _other_max(shift)[assign] * (1.0 + 1e-12), -np.inf)
         S = S_new
     return S, v_hist, converged, requeried
 

@@ -178,20 +178,6 @@ def test_center_step_matches_sequential_sums():
     assert np.array_equal(S_new[:8], sums[:8] / counts[:8, None])
 
 
-@pytest.mark.parametrize("p", [1.0, 3.0])
-@pytest.mark.parametrize("d", [1, 2])
-def test_center_step_general_p_matches_cell_masks(p, d):
-    # each cell gets the rows W[assign == k], in sample order
-    rng = np.random.default_rng(9)
-    W = rng.normal(size=(400, d))
-    S = rng.normal(size=(6, d))
-    assign = rng.integers(0, 5, size=400)  # cell 5 stays empty
-    S_new, reseeded = _centers_update(W, assign, S, p, rng.random(400))
-    assert reseeded
-    for k in range(5):
-        assert np.array_equal(S_new[k], ql.cell_center(W[assign == k], None, p))
-
-
 # --- the bounded assignment against a full query in every iteration ----------
 
 def _full_query_restart(W, S, p, cfg):
