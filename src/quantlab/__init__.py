@@ -28,9 +28,8 @@ from .solvers import (Dp1dSolver, Provenance, Quantizer, SolverConfig,
                       cantor_cover, cantor_covering_radius, cell_center,
                       dp_optimal_1d, farthest_point_cover, interval_quantizer,
                       lloyd, random_quantizer, seed_plusplus)
-from .spatial import (DensityEstimate, PointCloud, SpatialIndex, ball_count,
-                      build_index, covering_radius, geometric_radii,
-                      hausdorff_density, mc_tube_volume, minkowski_content,
-                      omega, voronoi_assign)
+from .spatial import (DensityEstimate, PointCloud, SpatialIndex,
+                      covering_radius, geometric_radii, hausdorff_density,
+                      mc_tube_volume, minkowski_content, omega, voronoi_assign)
 
 __version__ = "0.1.0"

@@ -17,7 +17,8 @@ from scipy.integrate import quad
 
 from .error import check_order, error_mc
 from .measures import Measure, derive_seed, restrict, sample
-from .solvers import Dp1dSolver, SolverConfig, cantor_covering_radius, lloyd
+from .solvers import (Dp1dSolver, SolverConfig, auto_solver,
+                      cantor_covering_radius, lloyd)
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,11 @@ def coeff_sequence(m: Measure, p, s: float, budgets, solver: str = "auto",
     """One scaled-error entry per budget via the designated solver pipeline.
 
     solver: "dp" (exact 1D), "lloyd", "cantor" (exact middle-thirds covers,
-    p = inf only), or "auto" which picks dp for 1D densities with an exact
-    law (restrictions have none), cantor for the Cantor-measure/p=inf pair,
-    and lloyd otherwise. A Lloyd entry that raises ValueError (a budget above
-    the working sample) is recorded as a gap (NaN) with the message in the
-    provenance; any other exception propagates.
+    p = inf only), or "auto" which picks cantor for the IFS/p=inf pair and
+    otherwise follows `auto_solver`: dp for a density1d at finite p, lloyd
+    for every other kind (restrictions included). A Lloyd entry that raises
+    ValueError (a budget above the working sample) is recorded as a gap
+    (NaN) with the message in the provenance; any other exception propagates.
     """
     p = check_order(p)
     budgets = [int(n) for n in budgets]
@@ -73,12 +74,7 @@ def coeff_sequence(m: Measure, p, s: float, budgets, solver: str = "auto",
         raise ValueError("budgets must be strictly increasing")
 
     if solver == "auto":
-        if math.isinf(p) and m.kind == "ifs":
-            solver = "cantor"
-        elif m.kind == "density1d" and m.law is not None and not math.isinf(p):
-            solver = "dp"
-        else:
-            solver = "lloyd"
+        solver = "cantor" if math.isinf(p) and m.kind == "ifs" else auto_solver(m, p)
 
     errors, prov = [], []
     if solver == "dp":
@@ -148,10 +144,11 @@ def zador_constant_1d(p) -> float:
 def zador_functional(m: Measure, m_dim: int, p, n_mc: int = 1 << 16, seed=0) -> float:
     """Density functional (integral of rho^(m/(m+p)))^((m+p)/(mp)).
 
-    Declared densities only: 1D and curve measures integrate exactly, d-dim
-    absolutely continuous measures use the Monte Carlo form
-    E_mu[rho^(-p/(d+p))]. Measures without a declared density (empirical,
-    IFS) are treated as singular and contribute zero.
+    Declared densities only: 1D and curve measures integrate their law
+    exactly, uniform boxes in closed form, and other absolutely continuous
+    measures (restrictions included) use the Monte Carlo form
+    E_mu[rho^(-p/(d+p))]. The singular kinds without a density (empirical,
+    IFS) contribute zero; any other measure without a density is an error.
     """
     p = check_order(p)
     if math.isinf(p):
@@ -160,17 +157,15 @@ def zador_functional(m: Measure, m_dim: int, p, n_mc: int = 1 << 16, seed=0) -> 
     outer = (m_dim + p) / (m_dim * p)
 
     if m.density is None:
-        if m.sampler is None:
-            raise ValueError("measure has neither density nor sampler")
-        return 0.0
+        if m.kind in ("empirical", "ifs"):
+            return 0.0
+        raise ValueError(f"measure of kind '{m.kind}' has no declared density "
+                         "and is not a singular kind")
 
     if m.kind in ("density1d", "curve"):
         if m_dim != 1:
             raise ValueError("1D density declared; m_dim must be 1")
         law = m.law
-        if law is None:
-            raise ValueError("1D measure has no exact law (e.g. a restriction); "
-                             "the functional needs its density on the support")
         total = 0.0
         for a, b in zip(law.breakpoints[:-1], law.breakpoints[1:]):
             val, _ = quad(lambda t: float(law.pdf(np.array([t]))[0]) ** exponent,

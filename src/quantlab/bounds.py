@@ -192,8 +192,8 @@ def rand_quant_bound(m: Measure, nu: Measure, p, s: float, N: int,
     se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
     if empirical is None:
-        from .solvers import dp_optimal_1d, lloyd
-        if m.kind == "density1d":
+        from .solvers import auto_solver, dp_optimal_1d, lloyd
+        if auto_solver(m, p) == "dp":
             q = dp_optimal_1d(m, N, p)
         else:
             q = lloyd(m, N, p, seed=derive_seed(seed, "emp"))
@@ -260,8 +260,11 @@ class DecayingMixture:
         return out
 
 
+_TAIL_EPS = 1e-16  # decaying_mixture keeps annuli until q^K falls below this
+
+
 def decaying_mixture(nu: RadialMeasure, x0, alpha: float, beta: float,
-                     R0: float, tail_eps: float = 1e-16) -> DecayingMixture:
+                     R0: float) -> DecayingMixture:
     """Probability mixture of normalized annuli restrictions of nu.
 
     Annuli A_0 = B_{sqrt(beta) R0} and A_k = B_{beta^((k+1)/2) R0} minus
@@ -276,7 +279,7 @@ def decaying_mixture(nu: RadialMeasure, x0, alpha: float, beta: float,
     if alpha <= 0 or R0 <= 0:
         raise ValueError("alpha and R0 must be positive")
     q = beta ** (-alpha / 2.0)
-    K = max(int(math.ceil(math.log(tail_eps) / math.log(q))) + 2, 8)
+    K = max(int(math.ceil(math.log(_TAIL_EPS) / math.log(q))) + 2, 8)
 
     radii_in = [0.0] + [beta ** ((k - 1) / 2.0) * R0 for k in range(1, K + 1)]
     radii_out = [math.sqrt(beta) * R0] + [beta ** ((k + 1) / 2.0) * R0

@@ -28,9 +28,9 @@ from .error import error_eval
 from .measures import (Curve, IfsSpec, Law1D, curve_measure, density1d,
                        derive_seed, empirical, hausdorff_curve_measure,
                        ifs_measure, quarter_circle, sample, uniform_box)
-from .solvers import (SolverConfig, cantor_covering_radius, dp_optimal_1d,
-                      farthest_point_cover, lloyd)
-from .spatial import SpatialIndex, build_index, hausdorff_density
+from .solvers import (SolverConfig, auto_solver, cantor_covering_radius,
+                      dp_optimal_1d, farthest_point_cover, lloyd)
+from .spatial import SpatialIndex, hausdorff_density
 
 TASKS = ("quantize", "error", "coeff", "zador-check", "density", "bounds",
          "distribution", "cantor")
@@ -204,7 +204,7 @@ def _solve(cfg, m, N, p, seed):
     sol = cfg.get("solver", {})
     name = sol.get("name", "auto")
     if name == "auto":
-        name = "dp" if (m.kind == "density1d" and not math.isinf(p)) else "lloyd"
+        name = auto_solver(m, p)
     if name == "dp":
         return dp_optimal_1d(m, N, p, grid_size=sol.get("grid_size"))
     if name == "farthest-point":
@@ -290,7 +290,7 @@ def _task_density(cfg, out):
     else:
         cloud = sample(m, cfg.get("n_mc", 1 << 17),
                        derive_seed(cfg["seed"], "density-sample"))
-        source = build_index(cloud)
+        source = SpatialIndex(cloud)
         method = "empirical"
     est = hausdorff_density(source, x, s, delta)
     return {

@@ -19,6 +19,11 @@ from .spatial import _as_points
 
 INF = math.inf
 
+# error_curve: trapezoid nodes at the start, the doubling stop and its cap
+_CURVE_NODES = 1 << 14
+_CURVE_TOL = 1e-8
+_CURVE_MAX_NODES = 1 << 18
+
 
 def check_order(p) -> float:
     p = float(p)
@@ -115,16 +120,15 @@ def error_exact_1d(m: Measure, S, p) -> ErrorEstimate:
     return ErrorEstimate(V ** (1.0 / p), 0.0, 0, "exact1d")
 
 
-def error_curve(m: Measure, S, p, n_nodes: int = 1 << 14, tol: float = 1e-8,
-                max_nodes: int = 1 << 18) -> ErrorEstimate:
+def error_curve(m: Measure, S, p) -> ErrorEstimate:
     """e_p along a curve measure by composite quadrature over arc length.
 
     The trapezoid value on a uniform parameter grid is refined by doubling
-    until it moves by less than `tol`; quantizer points may sit anywhere in
+    until it moves by less than 1e-8; quantizer points may sit anywhere in
     the ambient space.
     """
     p = check_order(p)
-    if m.curve is None:
+    if m.kind != "curve":
         raise ValueError("error_curve needs a curve measure")
     S = _as_points(S, d=m.curve.d)
     if S.shape[0] == 0:
@@ -141,12 +145,12 @@ def error_curve(m: Measure, S, p, n_nodes: int = 1 << 14, tol: float = 1e-8,
         rho = np.asarray(m.density(t), dtype=float)
         return float(np.trapezoid(dist ** p * rho, t)) ** (1.0 / p)
 
-    val = evaluate(n_nodes)
-    n = n_nodes
-    while n < max_nodes:
+    val = evaluate(_CURVE_NODES)
+    n = _CURVE_NODES
+    while n < _CURVE_MAX_NODES:
         n *= 2
         new = evaluate(n)
-        if abs(new - val) < tol:
+        if abs(new - val) < _CURVE_TOL:
             val = new
             break
         val = new
@@ -180,13 +184,10 @@ def error_mc(m: Measure, S, p, n: int, seed) -> ErrorEstimate:
 
 
 def error_eval(m: Measure, S, p, n_mc: int = 1 << 19, seed=0) -> ErrorEstimate:
-    """Route to the best available evaluator for the measure kind.
-
-    Restricted 1D densities and curves keep no exact law or arc-length
-    density, so they go to Monte Carlo.
-    """
-    if m.kind == "density1d" and m.law is not None:
+    """Route by kind: exact quadrature for density1d, arc-length quadrature
+    for curves, Monte Carlo for every other kind (restrictions included)."""
+    if m.kind == "density1d":
         return error_exact_1d(m, S, p)
-    if m.kind == "curve" and m.density is not None:
+    if m.kind == "curve":
         return error_curve(m, S, p)
     return error_mc(m, S, p, n_mc, seed)

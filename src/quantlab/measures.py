@@ -1,4 +1,4 @@
-"""Measure families: 1D densities, uniform boxes, empirical clouds, curves, IFS.
+"""Measure families: 1D densities, boxes, empirical clouds, curves, IFS, restrictions.
 
 Measures are immutable after construction. Samplers take the seed as an
 argument and hold no state, so identical (seed, n) pairs always reproduce the
@@ -20,8 +20,9 @@ from .spatial import PointCloud
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-# fixed seed for internal calibration draws (acceptance-rate estimation)
+# fixed seed and size of the calibration draw that estimates a restriction's mass
 _CALIBRATION_SEED = 0x5EEDCA1B
+_CALIBRATION_N = 8192
 
 
 def derive_seed(seed, *parts):
@@ -231,9 +232,10 @@ class Measure:
     """A sampleable measure with optional density and exact ball function.
 
     `density` is taken with respect to the reference measure of the kind
-    (Lebesgue for density1d / uniform-box, arc length for curves) and
-    includes the total mass. `ball_measure(x, r)` returns the exact mass of
-    the open ball when available.
+    (Lebesgue for density1d / uniform-box / restricted, arc length for
+    curves) and includes the total mass. `ball_measure(x, r)` returns the
+    exact mass of the open ball when available. Every density1d carries its
+    `law` and every curve its `curve` and arc-length density.
     """
 
     kind: str
@@ -245,7 +247,6 @@ class Measure:
     ball_measure: Optional[Callable] = field(default=None, repr=False)
     law: Optional[Law1D] = field(default=None, repr=False)
     curve: Optional[Curve] = field(default=None, repr=False)
-    ifs: Optional[IfsSpec] = field(default=None, repr=False)
     support_box: Optional[tuple] = None
     label: str = ""
 
@@ -484,7 +485,7 @@ def ifs_measure(spec: IfsSpec, depth: int = 40) -> Measure:
     lo = spec.offsets.min(axis=0)
     hi = (spec.offsets + spec.ratios[:, None]).max(axis=0)  # rough hull bound
     return Measure(kind="ifs", ambient_dim=spec.d, intrinsic_dim=spec.similarity_dim,
-                   total_mass=1.0, sampler=sampler, ifs=spec,
+                   total_mass=1.0, sampler=sampler,
                    support_box=(tuple(lo), tuple(hi)), label="ifs")
 
 
@@ -513,16 +514,18 @@ def cantor_net(depth: int) -> PointCloud:
     return PointCloud(pts.reshape(-1, 1), np.full(pts.size, 1.0 / pts.size))
 
 
-def restrict(m: Measure, predicate, calibration_n: int = 8192) -> Measure:
-    """Sub-measure via rejection sampling against a point predicate.
+def restrict(m: Measure, predicate) -> Measure:
+    """Sub-measure of kind "restricted", rejection-sampled against a predicate.
 
     The acceptance rate on a fixed calibration draw estimates the retained
-    mass; densities are multiplied by the indicator when present.
+    mass. The result keeps the sampler, that mass, the support box and, when
+    the indicator applies, the density times the indicator; it has no law,
+    curve or ball function, so evaluators treat it as a sampled measure.
     """
     if m.sampler is None:
         raise ValueError("not sampleable")
     rng = np.random.default_rng(derive_seed(_CALIBRATION_SEED, m.kind, m.label))
-    cal = np.atleast_2d(m.sample_rng(rng, calibration_n))
+    cal = np.atleast_2d(m.sample_rng(rng, _CALIBRATION_N))
     keep = np.asarray([bool(predicate(p)) for p in cal])
     rate = float(keep.mean())
     if rate < 1e-4:
@@ -550,8 +553,8 @@ def restrict(m: Measure, predicate, calibration_n: int = 8192) -> Measure:
             ind = np.asarray([1.0 if _pred(p) else 0.0 for p in pts])
             return base * ind.reshape(base.shape)
 
-    return Measure(kind=m.kind, ambient_dim=m.ambient_dim,
+    return Measure(kind="restricted", ambient_dim=m.ambient_dim,
                    intrinsic_dim=m.intrinsic_dim,
                    total_mass=rate * m.total_mass, sampler=sampler,
-                   density=dens, law=None, curve=m.curve, ifs=m.ifs,
-                   support_box=m.support_box, label=m.label + "|restricted")
+                   density=dens, support_box=m.support_box,
+                   label=m.label + "|restricted")

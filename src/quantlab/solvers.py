@@ -480,11 +480,8 @@ class Dp1dSolver:
         p = check_order(p)
         if math.isinf(p):
             raise ValueError("dp solver handles finite p only")
-        if m.kind != "density1d":
-            raise ValueError("dp solver needs a density1d measure")
-        if m.law is None:
-            raise ValueError("dp solver needs the exact law of the density1d "
-                             "measure, and this one has none (e.g. a restriction)")
+        if m.kind != "density1d" or m.law is None:
+            raise ValueError("dp solver needs a density1d measure with an exact law")
         law = m.law
         general = law.constant is None and p not in (1.0, 2.0)
         if grid_size is None:
@@ -594,6 +591,11 @@ class Dp1dSolver:
                                    "grid_value": self.grid_value(N),
                                    "residual": residual})
         return Quantizer(np.sort(centers).reshape(-1, 1), N, self.p, err, prov)
+
+
+def auto_solver(m: Measure, p) -> str:
+    """The automatic pipeline: exact "dp" for a density1d at finite p, else "lloyd"."""
+    return "dp" if m.kind == "density1d" and not math.isinf(p) else "lloyd"
 
 
 def dp_optimal_1d(m: Measure, N: int, p, grid_size: int | None = None) -> Quantizer:

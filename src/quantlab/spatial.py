@@ -113,15 +113,6 @@ class SpatialIndex:
         return float(self.cloud.weights[idx][d < r].sum())
 
 
-def build_index(cloud: PointCloud) -> SpatialIndex:
-    return SpatialIndex(cloud)
-
-
-def ball_count(index: SpatialIndex, x, r: float) -> float:
-    """Empirical measure of the open ball B_r(x) under the indexed cloud."""
-    return index.ball_weight(x, r)
-
-
 def voronoi_assign(S, cloud: PointCloud) -> np.ndarray:
     """Index of the nearest site in S for every cloud point.
 

@@ -360,7 +360,7 @@ def test_ac09_property_suites():
         d = int(rng.integers(1, 4))
         pts = rng.uniform(-1, 1, size=(n, d))
         w = rng.uniform(0, 1, size=n)
-        idx = ql.build_index(ql.PointCloud(pts, w))
+        idx = ql.SpatialIndex(ql.PointCloud(pts, w))
         x = rng.uniform(-1, 1, size=d)
         r = float(rng.uniform(0.1, 1.5))
         dd = np.linalg.norm(pts - x, axis=1)

@@ -282,5 +282,27 @@ def test_restricted_density1d_has_no_exact_law():
     series = ql.coeff_sequence(half, 2, 1.0, [4, 8], cfg=cfg)
     assert [row[0] for row in series.provenance] == ["lloyd", "lloyd"]
     assert np.isfinite(series.scaled).all()
-    with pytest.raises(ValueError, match="no exact law"):
-        ql.zador_functional(half, 1, 2)
+    # a restriction is its own kind: the Monte Carlo functional of the
+    # indicator density, scaled by the calibrated mass
+    assert ql.zador_functional(half, 1, 2) == pytest.approx(0.5 ** 1.5, rel=0.01)
+
+
+def test_zador_functional_restricted_box_uses_restricted_mass():
+    # oracle: rho = 1 on [0, 1/4] x [0, 1], so the functional is the mass 1/4
+    box = ql.restrict(ql.uniform_box([0, 0], [1, 1]), lambda x: x[0] <= 0.25)
+    assert ql.zador_functional(box, 2, 2) == pytest.approx(0.25, rel=0.01)
+
+
+def test_zador_functional_restricted_curve_raises():
+    # an ambient predicate has no indicator on the arc-length density
+    arc = ql.restrict(ql.hausdorff_curve_measure(ql.quarter_circle(64)),
+                      lambda x: x[0] >= 0.5)
+    with pytest.raises(ValueError, match="no declared density"):
+        ql.zador_functional(arc, 1, 2)
+
+
+def test_zador_functional_densityless_mixture_raises():
+    # the annuli mixture of Lebesgue measure is absolutely continuous, not singular
+    mix = ql.decaying_mixture(ql.lebesgue_halfline(), 0.0, 2.0, 4.0, 1.0)
+    with pytest.raises(ValueError, match="no declared density"):
+        ql.zador_functional(mix.measure, 1, 2)

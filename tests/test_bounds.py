@@ -127,6 +127,16 @@ def test_rand_quant_bound_n1():
     assert rep.compared_to["passes"]
 
 
+def test_rand_quant_bound_restricted_density_falls_back_to_lloyd():
+    # a restriction has no exact law, so the empirical side comes from Lloyd;
+    # oracle: N^2 V_N of uniform [0, 1/2] is N^2 (1/2) (1/(2N))^2 / 12
+    half = ql.restrict(ql.uniform_interval(), lambda x: x[0] <= 0.5)
+    rep = ql.rand_quant_bound(half, ql.uniform_interval(), 2, 1.0, 4, n_mc=8)
+    assert np.isfinite(rep.value) and rep.value > 0
+    assert rep.compared_to["empirical"] == pytest.approx(0.5 / 48, rel=0.05)
+    assert rep.compared_to["passes"]
+
+
 def test_decaying_mixture_tail_example():
     mix = ql.decaying_mixture(ql.lebesgue_halfline(), 0.0, alpha=2.0, beta=4.0,
                               R0=1.0)

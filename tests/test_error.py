@@ -71,6 +71,13 @@ def test_curve_quarter_circle_sup_to_endpoints():
     assert est.method == "sup"
 
 
+def test_curve_quadrature_rejects_a_restricted_curve():
+    arc = ql.restrict(ql.hausdorff_curve_measure(ql.quarter_circle(64)),
+                      lambda x: x[0] >= 0.5)
+    with pytest.raises(ValueError, match="curve measure"):
+        ql.error_curve(arc, [[0.8, 0.5]], 2)
+
+
 def test_mc_uniform_single_site():
     m = ql.uniform_interval()
     est = ql.error_mc(m, [[0.5]], 2, n=10 ** 6, seed=5)

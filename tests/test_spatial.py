@@ -16,7 +16,7 @@ def brute_ball_weight(points, weights, x, r):
 
 
 def test_single_point_index():
-    idx = ql.build_index(cloud_from_points([[0.3, 0.4]]))
+    idx = ql.SpatialIndex(cloud_from_points([[0.3, 0.4]]))
     d, i = idx.nearest([10.0, 10.0])
     assert i == 0
     assert d == pytest.approx(np.hypot(9.7, 9.6))
@@ -24,11 +24,11 @@ def test_single_point_index():
 
 def test_empty_cloud_rejected():
     with pytest.raises(ValueError, match="empty"):
-        ql.build_index(ql.PointCloud(np.zeros((0, 2)), np.zeros(0)))
+        ql.SpatialIndex(ql.PointCloud(np.zeros((0, 2)), np.zeros(0)))
 
 
 def test_duplicate_points_zero_distance():
-    idx = ql.build_index(cloud_from_points([[1.0], [1.0], [2.0]]))
+    idx = ql.SpatialIndex(cloud_from_points([[1.0], [1.0], [2.0]]))
     d, i = idx.nearest([1.0])
     assert d == 0.0
     assert i == 0  # lowest index on ties
@@ -38,7 +38,7 @@ def test_nearest_matches_brute_force():
     rng = np.random.default_rng(42)
     pts = rng.normal(size=(1000, 3))
     cloud = cloud_from_points(pts)
-    idx = ql.build_index(cloud)
+    idx = ql.SpatialIndex(cloud)
     for _ in range(100):
         x = rng.normal(size=3)
         d_brute, _ = brute_nearest(pts, x)
@@ -53,7 +53,7 @@ def test_index_vs_brute_force_200_instances():
         d = int(rng.integers(1, 4))
         pts = rng.uniform(-1, 1, size=(n, d))
         w = rng.uniform(0, 1, size=n)
-        idx = ql.build_index(ql.PointCloud(pts, w))
+        idx = ql.SpatialIndex(ql.PointCloud(pts, w))
         x = rng.uniform(-1, 1, size=d)
         r = float(rng.uniform(0.1, 1.5))
         db, _ = brute_nearest(pts, x)
@@ -86,17 +86,17 @@ def test_voronoi_cells_are_subsets_of_true_cells():
 
 def test_ball_count_open_ball_convention():
     cloud = ql.PointCloud(np.array([[0.0], [0.5], [1.0]]), np.full(3, 1 / 3))
-    idx = ql.build_index(cloud)
-    assert ql.ball_count(idx, [0.5], 0.5) == pytest.approx(1 / 3)
-    assert ql.ball_count(idx, [0.5], 0.6) == pytest.approx(1.0)
+    idx = ql.SpatialIndex(cloud)
+    assert idx.ball_weight([0.5], 0.5) == pytest.approx(1 / 3)
+    assert idx.ball_weight([0.5], 0.6) == pytest.approx(1.0)
 
 
 def test_ball_count_uniform_square():
     # oracle: Lebesgue area of the r=0.1 disk is pi/100
     m = ql.uniform_box([0, 0], [1, 1])
     n = 10 ** 5
-    idx = ql.build_index(ql.sample(m, n, seed=11))
-    est = ql.ball_count(idx, [0.5, 0.5], 0.1)
+    idx = ql.SpatialIndex(ql.sample(m, n, seed=11))
+    est = idx.ball_weight([0.5, 0.5], 0.1)
     p = np.pi * 0.01
     assert abs(est - p) <= 3 * np.sqrt(p * (1 - p) / n)
 
