@@ -277,8 +277,7 @@ def quantizability_probe(m: Measure, p, s: float, mass_fractions,
             sub = m
         else:
             r_cut = float(np.quantile(dists, 1.0 - frac))
-            sub = restrict(m, lambda x, _r=r_cut: float(
-                np.linalg.norm(np.asarray(x, dtype=float) - x0)) >= _r)
+            sub = restrict(m, lambda x, _r=r_cut: math.dist(x, x0) >= _r)
         errs = []
         for n in budgets:
             q = lloyd(sub, n, p, cfg=cfg, seed=derive_seed(seed, "probe", frac, n))

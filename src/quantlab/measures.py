@@ -24,6 +24,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _CALIBRATION_SEED = 0x5EEDCA1B
 _CALIBRATION_N = 8192
 
+# Law1D grid cells over the whole support, shared among its smooth pieces
+_N_GRID = 4096
+
 
 def derive_seed(seed, *parts):
     """Deterministic child-seed sequence for (seed, part, part, ...)."""
@@ -40,10 +43,13 @@ class Law1D:
 
     Carries cumulative moments of orders 0..2 on a fine grid (piecewise
     Gauss-Legendre, so smooth densities are resolved to machine precision),
-    plus declared breakpoints where the density may jump.
+    plus declared breakpoints where the density may jump. `constant` is the
+    density's value when it is equal at every quadrature node of the grid,
+    else None; a constant law takes closed-form cell costs in the DP and an
+    affine quantile.
     """
 
-    def __init__(self, pdf, lo, hi, breakpoints=(), n_grid=4096, constant=None):
+    def __init__(self, pdf, lo, hi, breakpoints=()):
         if not hi > lo:
             raise ValueError("empty support interval")
         self.pdf = pdf
@@ -54,13 +60,12 @@ class Law1D:
             if self.lo < b < self.hi:
                 pts.add(b)
         self.breakpoints = np.array(sorted(pts))
-        self.constant = constant  # density value if constant on support, else None
 
         # grid: proportional share of nodes per smooth piece, at least 8 each
         nodes = [np.array([self.lo])]
         span = self.hi - self.lo
         for a, b in zip(self.breakpoints[:-1], self.breakpoints[1:]):
-            k = max(8, int(round(n_grid * (b - a) / span)))
+            k = max(8, int(round(_N_GRID * (b - a) / span)))
             nodes.append(np.linspace(a, b, k + 1)[1:])
         self.grid = np.concatenate(nodes)
 
@@ -71,8 +76,11 @@ class Law1D:
         fx = np.asarray(pdf(x), dtype=float)
         if fx.shape != x.shape:
             fx = np.broadcast_to(fx, x.shape)
+        if not np.all(np.isfinite(fx)):
+            raise ValueError("density must be finite")
         if np.any(fx < -1e-12):
             raise ValueError("density must be nonnegative")
+        self.constant = float(fx.flat[0]) if np.all(fx == fx.flat[0]) else None
         w = half[:, None] * _GL_WEIGHTS[None, :]
         self._cum0 = np.concatenate([[0.0], np.cumsum(np.sum(w * fx, axis=1))])
         self._cum1 = np.concatenate([[0.0], np.cumsum(np.sum(w * fx * x, axis=1))])
@@ -125,8 +133,10 @@ class Law1D:
         return (half * pieces).sum(axis=-1)
 
     def ppf(self, u):
-        """Quantile function on [0, mass], grid inverse plus Newton polish."""
+        """Quantile on [0, mass]: affine if constant, else grid inverse + Newton."""
         u = np.clip(np.asarray(u, dtype=float), 0.0, self.mass)
+        if self.constant is not None:
+            return np.minimum(self.lo + u / self.constant, self.hi)
         t = np.interp(u, self._cum0, self.grid)
         for _ in range(2):
             ft = np.asarray(self.pdf(np.atleast_1d(t)), dtype=float)
@@ -260,8 +270,6 @@ def sample(m: Measure, n: int, seed) -> PointCloud:
     """n i.i.d. draws from the (normalized) measure, weights 1/n each."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if m.sampler is None:
-        raise ValueError("not sampleable")
     rng = np.random.default_rng(seed)
     pts = np.atleast_2d(m.sample_rng(rng, n))
     if pts.shape[0] != n:
@@ -269,22 +277,24 @@ def sample(m: Measure, n: int, seed) -> PointCloud:
     return PointCloud(pts, np.full(n, 1.0 / n))
 
 
-def density1d(pdf, support, breakpoints=(), normalize=True, n_grid=4096,
-              constant=None, label="") -> Measure:
+def _normalized(law: Law1D) -> Law1D:
+    """The law rescaled to mass 1; itself when its mass is 1 within 1e-13."""
+    if abs(law.mass - 1.0) <= 1e-13:
+        return law
+    return Law1D(lambda x, _f=law.pdf, _c=law.mass: np.asarray(_f(x)) / _c,
+                 law.lo, law.hi, breakpoints=law.breakpoints[1:-1])
+
+
+def density1d(pdf, support, breakpoints=(), normalize=True, label="") -> Measure:
     """Measure on an interval from a density w.r.t. Lebesgue.
 
     With normalize=True (default) the density is rescaled to total mass 1;
     otherwise the raw integral becomes the total mass.
     """
     lo, hi = float(support[0]), float(support[1])
-    law = Law1D(pdf, lo, hi, breakpoints=breakpoints, n_grid=n_grid,
-                constant=constant)
-    if normalize and abs(law.mass - 1.0) > 1e-13:
-        c = law.mass
-        base = pdf
-        law = Law1D(lambda x, _f=base, _c=c: np.asarray(_f(x)) / _c, lo, hi,
-                    breakpoints=breakpoints, n_grid=n_grid,
-                    constant=None if constant is None else constant / c)
+    law = Law1D(pdf, lo, hi, breakpoints=breakpoints)
+    if normalize:
+        law = _normalized(law)
     return Measure(
         kind="density1d", ambient_dim=1, intrinsic_dim=1.0, total_mass=law.mass,
         sampler=lambda rng, n, _l=law: _l.sample(rng, n).reshape(n, 1),
@@ -297,7 +307,7 @@ def density1d(pdf, support, breakpoints=(), normalize=True, n_grid=4096,
 def uniform_interval(lo=0.0, hi=1.0) -> Measure:
     rho = 1.0 / (hi - lo)
     m = density1d(lambda x, _r=rho: np.full_like(np.asarray(x, dtype=float), _r),
-                  (lo, hi), constant=rho, label=f"uniform[{lo},{hi}]")
+                  (lo, hi), label=f"uniform[{lo},{hi}]")
     return m
 
 
@@ -425,16 +435,13 @@ def curve_measure(c: Curve, density1d_law=None, normalize=True) -> Measure:
         raise ValueError("degenerate curve")
     if density1d_law is None:
         law = Law1D(lambda t: np.full_like(np.asarray(t, dtype=float), 1.0 / L),
-                    0.0, L, constant=1.0 / L)
+                    0.0, L)
     else:
         law = density1d_law
         if law.lo < -1e-12 or law.hi > L + 1e-12:
             raise ValueError("arc-length density must be supported on [0, L]")
-        if normalize and abs(law.mass - 1.0) > 1e-13:
-            c0 = law.mass
-            base = law.pdf
-            law = Law1D(lambda t, _f=base, _c=c0: np.asarray(_f(t)) / _c,
-                        law.lo, law.hi, breakpoints=law.breakpoints[1:-1])
+        if normalize:
+            law = _normalized(law)
 
     lo = c.vertices.min(axis=0)
     hi = c.vertices.max(axis=0)
@@ -449,7 +456,7 @@ def curve_measure(c: Curve, density1d_law=None, normalize=True) -> Measure:
 def hausdorff_curve_measure(c: Curve) -> Measure:
     """Arc-length (Hausdorff) measure on the curve: density 1, mass L."""
     law = Law1D(lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                0.0, c.total_length, constant=1.0)
+                0.0, c.total_length)
     return curve_measure(c, density1d_law=law, normalize=False)
 
 
@@ -522,8 +529,6 @@ def restrict(m: Measure, predicate) -> Measure:
     the indicator applies, the density times the indicator; it has no law,
     curve or ball function, so evaluators treat it as a sampled measure.
     """
-    if m.sampler is None:
-        raise ValueError("not sampleable")
     rng = np.random.default_rng(derive_seed(_CALIBRATION_SEED, m.kind, m.label))
     cal = np.atleast_2d(m.sample_rng(rng, _CALIBRATION_N))
     keep = np.asarray([bool(predicate(p)) for p in cal])

@@ -36,6 +36,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 @dataclass(frozen=True)

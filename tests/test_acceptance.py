@@ -329,9 +329,9 @@ def _check_split_additivity(measure_builder, n_budget=256, grid=1024):
 def _uniform_split():
     whole = ql.uniform_interval()
     left = ql.density1d(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                        (0, 0.5), normalize=False, constant=1.0)
+                        (0, 0.5), normalize=False)
     right = ql.density1d(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                         (0.5, 1), normalize=False, constant=1.0)
+                         (0.5, 1), normalize=False)
     return whole, left, right
 
 

@@ -238,9 +238,9 @@ def test_allocation_consistency_split_budgets():
     p, s = 2.0, 1.0
     whole = ql.uniform_interval()
     left = ql.density1d(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                        (0, 0.5), normalize=False, constant=1.0)
+                        (0, 0.5), normalize=False)
     right = ql.density1d(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                         (0.5, 1), normalize=False, constant=1.0)
+                         (0.5, 1), normalize=False)
     probe = 64
     alpha = [probe * ql.dp_optimal_1d(piece, probe, p).error.value
              for piece in (left, right)]

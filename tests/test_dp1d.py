@@ -149,6 +149,15 @@ def test_dp_matches_dense_layer_min_on_breakpoint_nodes(intervals, G, p):
         assert np.array_equal(solver.grid_boundaries(N), boundaries(N))
 
 
+@pytest.mark.parametrize("p", [1.25, 1.5])
+@pytest.mark.parametrize("N", [4, 8])
+def test_plain_function_uniform_density_is_exact(p, N):
+    # an undeclared constant density took the general-p path, 1e-7 below C_{p,1}/N
+    m = ql.density1d(lambda x: np.ones_like(np.asarray(x, dtype=float)), (0, 1))
+    q = ql.dp_optimal_1d(m, N, p)
+    assert q.error.value == pytest.approx(ql.zador_constant_1d(p) / N, rel=1e-12)
+
+
 def test_general_p_zero_mass_cells_keep_the_midpoint():
     # a batch made only of zero-mass cells must return, not bisect forever
     law = ql.piecewise_uniform([(0.0, 0.25), (0.75, 1.0)]).law

@@ -133,7 +133,7 @@ def test_degenerate_curve_rejected():
 def test_curve_mass_preserved():
     c = ql.quarter_circle(512)
     law = ql.Law1D(lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
-                   0.0, c.total_length, constant=2.0)
+                   0.0, c.total_length)
     m = ql.curve_measure(c, density1d_law=law, normalize=False)
     assert abs(m.total_mass - 2.0 * c.total_length) < 1e-10
 
@@ -177,6 +177,37 @@ def test_restriction_is_its_own_kind():
 def test_restrict_empty_region_errors():
     with pytest.raises(ValueError, match="region too small"):
         ql.restrict(ql.uniform_interval(), lambda x: x[0] > 2.0)
+
+
+@pytest.mark.parametrize("pdf", [lambda x: np.sqrt(np.asarray(x) - 0.5),
+                                 lambda x: np.full_like(np.asarray(x), np.inf)],
+                         ids=["nan", "inf"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_density_raises(pdf):
+    # a NaN mass once gave an "exact1d" error of 0.0
+    with pytest.raises(ValueError, match="finite"):
+        ql.density1d(pdf, (0, 1))
+
+
+def test_law1d_never_flags_a_varying_density():
+    assert ql.Law1D(lambda x: 2 * np.asarray(x), 0.0, 1.0).constant is None
+    assert ql.piecewise_uniform([(0.0, 0.25), (0.75, 1.0)]).law.constant is None
+
+
+def test_law1d_detects_a_constant_density():
+    plain = ql.Law1D(lambda x: np.full_like(np.asarray(x), 0.25), -1.0, 3.0)
+    assert plain.constant == 0.25
+    assert ql.piecewise_uniform([(0.0, 0.5)]).law.constant is not None
+    u = np.linspace(0.0, 0.9, 10)
+    assert np.array_equal(plain.ppf(u), -1.0 + 4.0 * u)  # affine, no Newton polish
+
+
+def test_normalized_curve_law_stays_constant():
+    c = ql.quarter_circle(512)
+    law = ql.Law1D(lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
+                   0.0, c.total_length)
+    m = ql.curve_measure(c, density1d_law=law)
+    assert m.law.constant == pytest.approx(1.0 / c.total_length, rel=1e-14)
 
 
 def test_law1d_cdf_ppf_roundtrip():

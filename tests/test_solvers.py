@@ -112,6 +112,12 @@ CFG = ql.SolverConfig(restarts=3, max_iters=120, working_sample=20000,
                       eval_samples=200000)
 
 
+def test_solver_config_needs_a_restart():
+    # with no restart, lloyd had no best run and failed with a TypeError
+    with pytest.raises(ValueError, match="restarts"):
+        ql.SolverConfig(restarts=0)
+
+
 def test_lloyd_uniform_single_point():
     m = ql.uniform_interval()
     q = ql.lloyd(m, 1, 2, CFG, seed=3)
