@@ -61,10 +61,10 @@ def coeff_sequence(m: Measure, p, s: float, budgets, solver: str = "auto",
                    grid_size: int | None = None) -> CoeffSeries:
     """One scaled-error entry per budget via the designated solver pipeline.
 
-    solver: "dp" (exact 1D), "lloyd", "cantor" (exact middle-thirds covers,
-    p = inf only), or "auto" which picks cantor for the IFS/p=inf pair and
-    otherwise follows `auto_solver`: dp for a density1d at finite p, lloyd
-    for every other kind (restrictions included). A Lloyd entry that raises
+    solver: "dp" (exact 1D), "lloyd", "cantor" (the "cantor" IFS at p = inf
+    only: exact middle-thirds covers), or "auto": cantor for the IFS/p=inf
+    pair, else `auto_solver`: dp for a density1d at finite p, lloyd for
+    every other kind (restrictions included). A Lloyd entry that raises
     ValueError (a budget above the working sample) is recorded as a gap
     (NaN) with the message in the provenance; any other exception propagates.
     """
@@ -84,8 +84,8 @@ def coeff_sequence(m: Measure, p, s: float, budgets, solver: str = "auto",
             errors.append(q.error.value)
             prov.append(("dp1d", n))
     elif solver == "cantor":
-        if not math.isinf(p):
-            raise ValueError("cantor pipeline is exact for p = inf only")
+        if not math.isinf(p) or m.label != "cantor":
+            raise ValueError("cantor pipeline serves the Cantor measure at p = inf only")
         for n in budgets:
             errors.append(cantor_covering_radius(n))
             prov.append(("cantor-exact", n))
@@ -156,13 +156,7 @@ def zador_functional(m: Measure, m_dim: int, p, n_mc: int = 1 << 16, seed=0) -> 
     exponent = m_dim / (m_dim + p)
     outer = (m_dim + p) / (m_dim * p)
 
-    if m.density is None:
-        if m.kind in ("empirical", "ifs"):
-            return 0.0
-        raise ValueError(f"measure of kind '{m.kind}' has no declared density "
-                         "and is not a singular kind")
-
-    if m.kind in ("density1d", "curve"):
+    if m.law is not None:
         if m_dim != 1:
             raise ValueError("1D density declared; m_dim must be 1")
         law = m.law
@@ -172,6 +166,12 @@ def zador_functional(m: Measure, m_dim: int, p, n_mc: int = 1 << 16, seed=0) -> 
                           a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
             total += val
         return total ** outer
+
+    if m.density is None:
+        if m.kind in ("empirical", "ifs"):
+            return 0.0
+        raise ValueError(f"measure of kind '{m.kind}' has no declared density "
+                         "and is not a singular kind")
 
     if m.kind == "uniform-box":
         if m_dim != m.ambient_dim:

@@ -144,12 +144,6 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"{path}: {e.message}")
 
 
-def parse_order(p):
-    if p == "inf":
-        return math.inf
-    return float(p)
-
-
 def build_measure(spec: dict):
     kind = spec["kind"]
     if kind == "uniform-box":
@@ -218,7 +212,7 @@ def _solve(cfg, m, N, p, seed):
 
 def _task_quantize(cfg, out):
     m = build_measure(cfg["measure"])
-    p = parse_order(cfg.get("p", 2))
+    p = float(cfg.get("p", 2))
     q = _solve(cfg, m, cfg["N"], p, cfg["seed"])
     write_quantizer_csv(os.path.join(out, "quantizer.csv"), q.points)
     return {
@@ -232,7 +226,7 @@ def _task_quantize(cfg, out):
 
 def _task_error(cfg, out):
     m = build_measure(cfg["measure"])
-    p = parse_order(cfg.get("p", 2))
+    p = float(cfg.get("p", 2))
     sites = np.asarray(cfg["sites"], dtype=float)
     est = error_eval(m, sites, p, n_mc=cfg.get("n_mc", 1 << 19),
                      seed=derive_seed(cfg["seed"], "error"))
@@ -241,7 +235,7 @@ def _task_error(cfg, out):
 
 def _series_pipeline(cfg):
     m = build_measure(cfg["measure"])
-    p = parse_order(cfg.get("p", 2))
+    p = float(cfg.get("p", 2))
     s = float(cfg.get("s", m.intrinsic_dim))
     name = cfg.get("solver", {}).get("name", "auto")
     series = coeff_sequence(m, p, s, cfg["budgets"], solver=name,
@@ -269,8 +263,7 @@ def _task_zador_check(cfg, out):
     est = estimate_coefficients(series, cfg.get("tail_fraction", 0.5))
     pred = zador_prediction(m, 1, p)
     tol = cfg.get("tolerance", 0.05)
-    verdict = (abs(est.lower / pred - 1.0) <= tol
-               or abs(est.upper / pred - 1.0) <= tol)
+    verdict = all(abs(v / pred - 1.0) <= tol for v in (est.lower, est.upper))
     return {
         "prediction": pred,
         "estimates": {"lower": est.lower, "upper": est.upper, "fitted": est.fitted},
@@ -301,7 +294,7 @@ def _task_density(cfg, out):
 
 
 def _task_bounds(cfg, out):
-    p = parse_order(cfg.get("p", 2))
+    p = float(cfg.get("p", 2))
     s = float(cfg["s"])
     b = cfg["bounds"]
     mass = float(b.get("mass", 1.0))
@@ -318,7 +311,7 @@ def _task_bounds(cfg, out):
 
 def _task_distribution(cfg, out):
     m = build_measure(cfg["measure"])
-    p = parse_order(cfg.get("p", 2))
+    p = float(cfg.get("p", 2))
     q = _solve(cfg, m, cfg["N"], p, cfg["seed"])
     write_quantizer_csv(os.path.join(out, "quantizer.csv"), q.points)
     regions = [build_region(r) for r in cfg["regions"]]
@@ -377,14 +370,6 @@ def write_quantizer_csv(path, points):
         w.writerow([f"x{i}" for i in range(points.shape[1])])
         for row in points:
             w.writerow([repr(float(v)) for v in row])
-
-
-def write_cloud_csv(path, cloud):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{i}" for i in range(cloud.d)] + ["w"])
-        for row, wt in zip(cloud.points, cloud.weights):
-            w.writerow([repr(float(v)) for v in row] + [repr(float(wt))])
 
 
 def _json_default(o):

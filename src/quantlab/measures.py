@@ -241,11 +241,11 @@ def _similarity_dimension(ratios) -> float:
 class Measure:
     """A sampleable measure with optional density and exact ball function.
 
-    `density` is taken with respect to the reference measure of the kind
-    (Lebesgue for density1d / uniform-box / restricted, arc length for
-    curves) and includes the total mass. `ball_measure(x, r)` returns the
-    exact mass of the open ball when available. Every density1d carries its
-    `law` and every curve its `curve` and arc-length density.
+    `density` takes ambient points and is taken with respect to Lebesgue
+    measure (density1d / uniform-box / restricted); it includes the total
+    mass. `ball_measure(x, r)` returns the exact mass of the open ball when
+    available. Every density1d carries its `law`, and every curve its
+    `curve` and its `law` on arc length, whose `pdf` is the curve's density.
     """
 
     kind: str
@@ -448,7 +448,6 @@ def curve_measure(c: Curve, density1d_law=None, normalize=True) -> Measure:
     return Measure(
         kind="curve", ambient_dim=c.d, intrinsic_dim=1.0, total_mass=law.mass,
         sampler=lambda rng, n, _c=c, _l=law: _c.point_at(_l.sample(rng, n)),
-        density=lambda t, _l=law: np.asarray(_l.pdf(np.asarray(t, dtype=float))),
         law=law, curve=c, support_box=(tuple(lo), tuple(hi)), label="curve",
     )
 
@@ -476,7 +475,8 @@ def ifs_measure(spec: IfsSpec, depth: int = 40) -> Measure:
     """Self-similar measure sampled by depth-truncated random words.
 
     Positions are resolved below max(ratio)^depth, far under every tolerance
-    used here at the default depth.
+    used here at the default depth. The label is "cantor" for the
+    middle-thirds maps with both weights positive, else "ifs".
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -491,9 +491,11 @@ def ifs_measure(spec: IfsSpec, depth: int = 40) -> Measure:
 
     lo = spec.offsets.min(axis=0)
     hi = (spec.offsets + spec.ratios[:, None]).max(axis=0)  # rough hull bound
+    cantor = (spec.d == 1 and np.all(spec.ratios == 1.0 / 3.0) and np.all(spec.weights > 0)
+              and np.array_equal(np.sort(spec.offsets.ravel()), [0.0, 2.0 / 3.0]))
     return Measure(kind="ifs", ambient_dim=spec.d, intrinsic_dim=spec.similarity_dim,
-                   total_mass=1.0, sampler=sampler,
-                   support_box=(tuple(lo), tuple(hi)), label="ifs")
+                   total_mass=1.0, sampler=sampler, support_box=(tuple(lo), tuple(hi)),
+                   label="cantor" if cantor else "ifs")
 
 
 def cantor_ifs(weights=(0.5, 0.5)) -> IfsSpec:
@@ -526,7 +528,7 @@ def restrict(m: Measure, predicate) -> Measure:
 
     The acceptance rate on a fixed calibration draw estimates the retained
     mass. The result keeps the sampler, that mass, the support box and, when
-    the indicator applies, the density times the indicator; it has no law,
+    m has a density, the density times the indicator; it has no law,
     curve or ball function, so evaluators treat it as a sampled measure.
     """
     rng = np.random.default_rng(derive_seed(_CALIBRATION_SEED, m.kind, m.label))
@@ -548,9 +550,7 @@ def restrict(m: Measure, predicate) -> Measure:
         return np.concatenate(out)[:n]
 
     dens = None
-    if m.density is not None and m.kind != "curve":
-        # curve densities live on the arc-length parameter, where an ambient
-        # predicate has no direct indicator; those restrictions stay sampled-only
+    if m.density is not None:
         def dens(x, _m=m, _pred=predicate):
             x = np.asarray(x, dtype=float)
             base = np.asarray(_m.density(x), dtype=float)

@@ -54,10 +54,6 @@ class PointCloud:
     def d(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
 
 def cloud_from_points(points, weights=None) -> PointCloud:
     pts = np.atleast_2d(np.asarray(points, dtype=float))

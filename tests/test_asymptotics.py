@@ -31,6 +31,17 @@ def test_coeff_sequence_cantor_exact():
     assert np.allclose(series.scaled, 0.5, atol=1e-12)
 
 
+def test_cantor_pipeline_serves_only_the_middle_thirds_measure():
+    # the maps x/2 and x/2 + 1/2 give the uniform law, e_{N,inf} = 1/(2N)
+    uni = ql.ifs_measure(ql.IfsSpec((0.5, 0.5), [[0], [0.5]], (0.5, 0.5)))
+    assert uni.label == "ifs"
+    for solver in ("auto", "cantor"):
+        with pytest.raises(ValueError, match="Cantor"):
+            ql.coeff_sequence(uni, np.inf, 1.0, [2, 4, 8, 16], solver=solver)
+    assert ql.ifs_measure(ql.cantor_ifs((0.75, 0.25))).label == "cantor"
+    assert ql.ifs_measure(ql.cantor_ifs((1.0, 0.0))).label == "ifs"
+
+
 def test_coeff_sequence_budget_validation():
     m = ql.uniform_interval()
     with pytest.raises(ValueError):

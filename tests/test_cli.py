@@ -68,6 +68,19 @@ def test_numeric_failure_exit_code(tmp_path):
     assert run_cli(["run", "--config", path, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_error_task_parses_infinite_order(tmp_path):
+    # "inf" reaches the exact curve supremum: the far end is 0.75 from the site
+    cfg = write_cfg(tmp_path, "e.json", {
+        "task": "error", "seed": 1, "p": "inf",
+        "measure": {"kind": "curve", "vertices": [[0, 0], [1, 0]]},
+        "sites": [[0.25, 0.0]],
+    })
+    out = str(tmp_path / "out")
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    err = read_report(out)["results"]["error"]
+    assert err["method"] == "sup" and err["value"] == pytest.approx(0.75, abs=1e-15)
+
+
 def test_byte_reproducible_results(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {
         "task": "quantize", "seed": 4, "p": 2, "N": 3,
@@ -153,6 +166,26 @@ def test_zador_check_task(tmp_path):
     assert rep["results"]["verdict"]
 
 
+def test_zador_check_needs_both_tail_ends(tmp_path, monkeypatch):
+    # lower end on the prediction, upper end 20% above it: no limit at 5%
+    import quantlab.cli as cli
+    from quantlab.asymptotics import CoefficientEstimate
+
+    pred = 1 / (2 * math.sqrt(3))  # C_{2,1} for the uniform density on [0, 1]
+    monkeypatch.setattr(cli, "estimate_coefficients", lambda series, frac:
+                        CoefficientEstimate(pred, 1.2 * pred, 1.1 * pred, 4))
+    cfg = write_cfg(tmp_path, "z.json", {
+        "task": "zador-check", "seed": 7, "p": 2, "s": 1.0,
+        "measure": {"kind": "density1d", "support": [0, 1]},
+        "budgets": [2, 4, 8, 16], "tolerance": 0.05,
+    })
+    out = str(tmp_path / "out")
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    res = read_report(out)["results"]
+    assert res["prediction"] == pytest.approx(pred, rel=1e-12)
+    assert not res["verdict"]
+
+
 def test_cantor_task(tmp_path):
     cfg = write_cfg(tmp_path, "k.json", {
         "task": "cantor", "seed": 1,
@@ -212,18 +245,3 @@ def test_bounds_task_with_sandwich(tmp_path):
 def test_build_measure_curve_requires_shape_or_vertices():
     with pytest.raises(ConfigError):
         build_measure({"kind": "curve"})
-
-
-def test_cloud_csv_header(tmp_path):
-    import quantlab as ql
-    from quantlab.cli import write_cloud_csv
-
-    cloud = ql.sample(ql.uniform_box([0, 0], [1, 1]), 5, seed=1)
-    path = tmp_path / "cloud.csv"
-    write_cloud_csv(str(path), cloud)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x0,x1,w"
-    assert len(lines) == 6
-    # values round-trip through repr
-    first = lines[1].split(",")
-    assert float(first[0]) == cloud.points[0, 0]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import quantlab as ql
 
@@ -49,6 +51,14 @@ def test_exact_1d_sup_norm():
     assert ql.error_exact_1d(m, [0.25, 0.75], np.inf).value == pytest.approx(0.25)
 
 
+def test_exact_1d_sup_skips_zero_mass_gaps():
+    # the midpoint 0.5 lies in the gap (0.25, 0.75), which carries no mass
+    m = ql.piecewise_uniform([(0, 0.25), (0.75, 1)])
+    est = ql.error_exact_1d(m, [0.125, 0.875], np.inf)
+    assert est.value == pytest.approx(0.125, abs=1e-15)
+    assert est.method == "sup"
+
+
 def test_curve_segment_matches_interval():
     m = ql.curve_measure(ql.segment_curve([0, 0], [1, 0]))
     est = ql.error_curve(m, [[0.5, 0.0]], 2)
@@ -69,6 +79,82 @@ def test_curve_quarter_circle_sup_to_endpoints():
     est = ql.error_curve(m, [[1.0, 0.0], [0.0, 1.0]], np.inf)
     assert est.value == pytest.approx(2 * math.sin(math.pi / 8), abs=1e-4)
     assert est.method == "sup"
+
+
+def _envelope_error_p2(vertices, sites):
+    """e_2 of arc length on a polyline, with no tree: on every segment all
+    pairwise crossings of the sites' lines t -> |A + t u - s|^2 - t^2 cut it
+    into pieces, the nearest site of a piece is an argmin over all sites at
+    its midpoint, and (t - tau)^2 + h^2 is integrated in closed form."""
+    total = 0.0
+    for A, B in zip(vertices[:-1], vertices[1:]):
+        ell = math.dist(A, B)
+        if ell == 0.0:
+            continue
+        u = (B - A) / ell
+        w = sites - A
+        tau = w @ u
+        h2 = np.sum((w - tau[:, None] * u) ** 2, axis=1)
+        c = tau ** 2 + h2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tx = (c[None, :] - c[:, None]) / (2.0 * (tau[None, :] - tau[:, None]))
+        cuts = np.unique(np.concatenate([[0.0, ell], tx[(tx > 0) & (tx < ell)]]))
+        t0, t1 = cuts[:-1], cuts[1:]
+        j = np.argmin(((0.5 * (t0 + t1))[:, None] - tau) ** 2 + h2, axis=1)
+        total += np.sum(((t1 - tau[j]) ** 3 - (t0 - tau[j]) ** 3) / 3.0
+                        + h2[j] * (t1 - t0))
+    return math.sqrt(total)
+
+
+coords = st.one_of(st.integers(-4, 4).map(lambda v: v / 4.0),
+                   st.floats(-1, 1, allow_nan=False, allow_subnormal=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(verts=st.lists(st.tuples(coords, coords), min_size=2, max_size=29),
+       sites=st.lists(st.tuples(coords, coords), min_size=1, max_size=59))
+def test_curve_error_matches_envelope_oracle(verts, sites):
+    V, S = np.array(verts), np.array(sites)
+    assume(np.linalg.norm(np.diff(V, axis=0), axis=1).sum() > 1e-3)
+    m = ql.hausdorff_curve_measure(ql.Curve(V))
+    assert ql.error_curve(m, S, 2).value == pytest.approx(
+        _envelope_error_p2(V, S), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 1.25, 1.5, 2, 3])
+def test_curve_segment_matches_exact_1d_on_a_two_bump_law(p):
+    # sites on a straight segment: the curve error is the 1D error of its law
+    bumps = lambda t: (np.exp(-((np.asarray(t) - 0.3) / 0.05) ** 2)
+                       + 0.5 * np.exp(-((np.asarray(t) - 0.75) / 0.1) ** 2) + 0.05)
+    c = ql.segment_curve([0.0, 0.0], [0.6, 0.8])
+    arc = ql.curve_measure(c, ql.Law1D(bumps, 0.0, c.total_length))
+    line = ql.density1d(bumps, (0.0, c.total_length))
+    t = np.array([0.05, 0.22, 0.31, 0.4, 0.7, 0.93])
+    assert ql.error_curve(arc, np.outer(t, [0.6, 0.8]), p).value == pytest.approx(
+        ql.error_exact_1d(line, t, p).value, rel=1e-10)
+
+
+def test_curve_sup_skips_zero_mass_gaps():
+    # arc law on [0, .4] and [.6, 1]: the gap's midpoint 0.5 is 0.3 from both
+    # sites, but the supremum over the support is 0.2, at 0, .4, .6 and 1
+    pdf = lambda t: ((np.asarray(t) <= 0.4) | (np.asarray(t) >= 0.6)).astype(float)
+    arc = ql.curve_measure(ql.segment_curve([0, 0], [1, 0]),
+                           ql.Law1D(pdf, 0.0, 1.0, breakpoints=(0.4, 0.6)))
+    est = ql.error_curve(arc, [[0.2, 0.0], [0.8, 0.0]], np.inf)
+    assert est.value == pytest.approx(0.2, abs=1e-12)
+    assert est.method == "sup"
+
+
+def test_curve_with_a_repeated_vertex():
+    # oracle: two unit legs, each with a site at its midpoint: 2 * 2 * (1/2)^3 / 3
+    c = ql.Curve([[0, 0], [1, 0], [1, 0], [1, 1]])
+    est = ql.error_curve(ql.hausdorff_curve_measure(c), [[0.5, 0], [1, 0.5]], 2)
+    assert est.value == pytest.approx(math.sqrt(1 / 6), rel=1e-14)
+
+
+def test_curve_measure_density_lives_in_its_law():
+    m = ql.curve_measure(ql.quarter_circle(64))
+    assert m.density is None and m.law is not None
 
 
 def test_curve_quadrature_rejects_a_restricted_curve():
