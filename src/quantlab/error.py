@@ -50,7 +50,9 @@ class ErrorEstimate:
     """e_p value with the variance of its p-th-power estimator.
 
     `variance` refers to the Monte Carlo estimator of V_p = e_p^p and is 0
-    for exact methods.
+    for exact methods. `method` says what the value is: exact ("exact1d",
+    "curve", and "sup" for an exact supremum at p = inf), a Monte Carlo
+    estimate ("montecarlo"), or a lower bound on the supremum ("sample-max").
     """
 
     value: float
@@ -177,8 +179,8 @@ def error_curve(m: Measure, S, p) -> ErrorEstimate:
 def error_mc(m: Measure, S, p, n: int, seed) -> ErrorEstimate:
     """Monte Carlo e_p over n i.i.d. draws, deterministic per seed.
 
-    For p = inf the sample maximum is reported (a lower bound on the true
-    supremum; use exact nets where the distinction matters).
+    For p = inf it reports the sample maximum, method "sample-max": a lower
+    bound on the true supremum, never the exact "sup".
     """
     p = check_order(p)
     if n < 100:
@@ -191,7 +193,7 @@ def error_mc(m: Measure, S, p, n: int, seed) -> ErrorEstimate:
     dist, _ = tree.query(cloud.points)
 
     if math.isinf(p):
-        return ErrorEstimate(float(dist.max()), 0.0, n, "sup")
+        return ErrorEstimate(float(dist.max()), 0.0, n, "sample-max")
 
     dp = dist ** p
     V = m.total_mass * float(dp.mean())

@@ -119,7 +119,8 @@ class Law1D:
         ls, rs and a share one shape. Each cell is split at a (clipped to the
         cell) and at the declared breakpoints inside it, and each piece takes
         the 16-node rule, so neither a jump of rho nor a kink of f at 0 falls
-        inside a piece.
+        inside a piece. f may stack k integrands along a new leading axis;
+        the result then has that axis too, and x and rho(x) serve all k.
         """
         edges = np.stack([ls, np.clip(a, ls, rs), rs], axis=-1)
         if self.breakpoints.size > 2:

@@ -363,11 +363,12 @@ class _CellOracle:
     """Optimal single-point cost of interval cells [l, r] for one (law, p).
 
     p in {1, 2} works from cumulative moments and a constant density from
-    its closed form, so neither re-integrates the density. Other p bisect
-    the first-order condition for the centre and integrate the cost with
-    `Law1D.cell_integral`, which splits every cell at its centre and at the
-    law's breakpoints, so no kink or jump falls inside a quadrature piece.
-    That keeps the costs Monge, as the DP's monotone layer minimum needs.
+    its closed form, so neither re-integrates the density. Other p find the
+    centre by safeguarded Newton on the first-order condition (`_centers`)
+    and integrate the cost with `Law1D.cell_integral`, which splits every
+    cell at its centre and at the law's breakpoints, so no kink or jump falls
+    inside a quadrature piece. That keeps the costs Monge, as the DP's
+    monotone layer minimum needs.
     """
 
     def __init__(self, law: Law1D, p: float):
@@ -397,32 +398,70 @@ class _CellOracle:
             m0m, m1m, _ = self.law.moments(med)
             costs = (m1r - m1m) - med * (m0r - m0m) + med * (m0m - m0l) - (m1m - m1l)
             return med, np.maximum(np.where(mass > 0, costs, 0.0), 0.0)
-        centers = self._bisect_centers(ls, rs)
+        centers = self._centers(ls, rs)
         return centers, self.law.cell_integral(ls, rs, centers,
                                                lambda y: np.abs(y) ** self.p)
 
-    def _bisect_centers(self, ls, rs):
-        """Root of the integral of sign(x-a)|x-a|^(p-1) rho, decreasing in a.
+    def _hulls(self, ls, rs):
+        """Each cell clipped to the law's breakpoint pieces of positive mass
+        that it meets, and whether it meets any."""
+        bp = self.law.breakpoints
+        n = bp.size - 1
+        k = np.arange(n)
+        live = np.diff(self.law.cdf(bp)) > 0
+        # first live piece at or after k (n if none), last at or before k (-1 if none)
+        nxt = np.minimum.accumulate(np.where(live, k, n)[::-1])[::-1]
+        prv = np.maximum.accumulate(np.where(live, k, -1))
+        j0 = nxt[np.clip(np.searchsorted(bp, ls, side="right") - 1, 0, n - 1)]
+        j1 = prv[np.clip(np.searchsorted(bp, rs, side="left") - 1, 0, n - 1)]
+        return (np.maximum(ls, bp[np.minimum(j0, n - 1)]),
+                np.minimum(rs, bp[np.maximum(j1, 0) + 1]), j0 <= j1)
 
-        Each cell halves its bracket until no float lies strictly inside, so
-        a centre depends on its own cell only; zero-mass cells keep the
-        midpoint.
+    def _centers(self, ls, rs):
+        """Root of F(a) = integral of sign(x-a)|x-a|^(p-1) rho, decreasing in a.
+
+        Safeguarded Newton with F'(a) = -(p-1) * integral of |x-a|^(p-2) rho,
+        both from one `Law1D.cell_integral` pass. Each F shrinks a bracket by
+        its sign; a Newton step is taken only if it lands strictly inside the
+        bracket and is at most half the step before last, else the bracket's
+        midpoint. A cell is done when F = 0, when a Newton step is within 4
+        ulps, or when no float lies strictly between the midpoint and an end
+        of the bracket. The bracket and the first iterate come from the cell
+        clipped to its positive-mass hull, so a centre depends only on where
+        its cell holds mass; cells without mass keep their midpoint.
         """
-        law, q = self.law, self.p - 1.0
-        slope = lambda y: np.copysign(np.abs(y) ** q, y)
+        q = self.p - 1.0
+
+        def kernel(y):
+            m = np.abs(y)
+            return np.stack([np.copysign(m ** q, y), m ** (q - 1.0)])
+
         out = 0.5 * (ls + rs)
-        idx = np.flatnonzero(law.cell_integral(ls, rs, ls, np.ones_like) > 0)
-        ls, rs = ls[idx], rs[idx]
-        lo, hi = ls, rs
+        hl, hr, has = self._hulls(ls, rs)
+        idx = np.flatnonzero(has)
+        hl, hr = hl[idx], hr[idx]
+        lo, hi = hl, hr
+        a = 0.5 * (lo + hi)
+        d1 = d2 = hi - lo  # the last two steps
         while idx.size:
-            a = 0.5 * (lo + hi)
-            inside = (lo < a) & (a < hi)
-            if not inside.all():
-                out[idx[~inside]] = a[~inside]
-                idx, ls, rs, lo, hi = (v[inside] for v in (idx, ls, rs, lo, hi))
-                continue
-            up = law.cell_integral(ls, rs, a, slope) > 0
-            lo, hi = np.where(up, a, lo), np.where(up, hi, a)
+            with np.errstate(divide="ignore", invalid="ignore"):  # |0|^(p-2), p < 2
+                F, dI = self.law.cell_integral(hl, hr, a, kernel)
+                step = F / (q * dI)
+            lo, hi = np.where(F > 0, a, lo), np.where(F < 0, a, hi)
+            usable = np.isfinite(dI) & np.isfinite(step)
+            new = a + step
+            newton = usable & (lo < new) & (new < hi) & (2.0 * np.abs(step) <= np.abs(d2))
+            mid = 0.5 * (lo + hi)
+            nxt = np.where(newton, new, mid)
+            small = usable & (np.abs(step) <= 4.0 * np.spacing(a))
+            tight = ~((np.nextafter(lo, hi) < mid) & (mid < np.nextafter(hi, lo)))
+            done = (F == 0) | small | tight
+            out[idx[done]] = np.where(F == 0, a, np.where(small, np.clip(new, lo, hi),
+                                                          nxt))[done]
+            d2, d1 = d1, nxt - a
+            keep = ~done
+            idx, hl, hr, lo, hi, a, d1, d2 = (v[keep] for v in
+                                              (idx, hl, hr, lo, hi, nxt, d1, d2))
         return out
 
 
@@ -468,12 +507,13 @@ class Dp1dSolver:
     Cell boundaries are restricted to a uniform grid of G cells, and a
     layered DP finds optimal boundaries for every budget up to n_max. Per-cell
     optimal costs are closed-form (constant density, p in {1,2}) or
-    integrated piecewise by `Law1D.cell_integral` around a bisected centre
-    (other p), and come on demand. Every layer is a monotone row minimum
-    solved by divide and conquer: O(G log G) cell costs and O(G) memory
-    besides the (n_max, G) backpointers. `solve` refines the grid solution
-    to the continuum stationary point by a safeguarded Newton loop, whose
-    Newton steps are kept only when they do not raise the cost.
+    integrated piecewise by `Law1D.cell_integral` around a centre found by
+    safeguarded Newton (other p, `_CellOracle._centers`), and come on demand.
+    Every layer is a monotone row minimum solved by divide and conquer:
+    O(G log G) cell costs and O(G) memory besides the (n_max, G)
+    backpointers. `solve` refines the grid solution to the continuum
+    stationary point by a safeguarded Newton loop, whose Newton steps are
+    kept only when they do not raise the cost.
     """
 
     _TOL = 1e-13  # refinement stops at a stationarity residual below _TOL * span

@@ -177,3 +177,91 @@ def test_dp_needs_an_exact_law():
         ql.Dp1dSolver(half, 2, n_max=4)
     with pytest.raises(ValueError, match="density1d"):
         ql.Dp1dSolver(ql.uniform_box([0, 0], [1, 1]), 2, n_max=4)
+
+
+def bisect_centers(law, p, ls, rs):
+    """Reference centres: bisect the first-order condition in each cell until
+    no float lies strictly inside the bracket; zero-mass cells keep the
+    midpoint."""
+    q = p - 1.0
+    slope = lambda y: np.copysign(np.abs(y) ** q, y)
+    out = 0.5 * (ls + rs)
+    idx = np.flatnonzero(law.cell_integral(ls, rs, ls, np.ones_like) > 0)
+    ls, rs = ls[idx], rs[idx]
+    lo, hi = ls, rs
+    while idx.size:
+        a = 0.5 * (lo + hi)
+        inside = (lo < a) & (a < hi)
+        if not inside.all():
+            out[idx[~inside]] = a[~inside]
+            idx, ls, rs, lo, hi = (v[inside] for v in (idx, ls, rs, lo, hi))
+            continue
+        up = law.cell_integral(ls, rs, a, slope) > 0
+        lo, hi = np.where(up, a, lo), np.where(up, hi, a)
+    return out
+
+
+def _grid_cells(data, law, G):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, G), st.integers(0, G)).filter(
+        lambda ij: ij[0] < ij[1]), min_size=1, max_size=24), label="cells")
+    grid = np.linspace(law.lo, law.hi, G + 1)
+    i, j = np.array(pairs).T
+    return grid[i], grid[j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.one_of(densities, st.builds(_step_density)),
+       p=st.sampled_from([1.25, 1.5, 2.5, 3.0, 4.0]), G=st.integers(8, 96), data=st.data())
+def test_newton_centers_match_bisection(m, p, G, data):
+    law = m.law
+    ls, rs = _grid_cells(data, law, G)
+    centers = ql.solvers._CellOracle(law, p)._centers(ls, rs)
+    ref = bisect_centers(law, p, ls, rs)
+    assert np.all(np.abs(centers - ref) <= 32 * np.spacing(np.abs(ref)))
+    cost = lambda a: law.cell_integral(ls, rs, a, lambda y: np.abs(y) ** p)
+    np.testing.assert_allclose(cost(centers), cost(ref), rtol=1e-13, atol=0)
+
+
+def test_p3_centers_are_the_closed_form_roots():
+    # on rho = 2x, with a = l + w s, the first-order condition divided by w^3
+    # is the quartic -w/3 s^4 - 4l/3 s^3 + (w + 2l) s^2 - (4w/3 + 2l) s + w/2 + 2l/3
+    m = ql.density1d(lambda x: 2 * np.asarray(x), (0, 1))
+    G = 64
+    grid = np.linspace(0.0, 1.0, G + 1)
+    ii, jj = np.triu_indices(G + 1, k=1)
+    ls, rs = grid[ii], grid[jj]
+    centers, _ = ql.solvers._CellOracle(m.law, 3).centers_costs(ls, rs)
+    for l, r, c in zip(ls, rs, centers):
+        w = r - l
+        roots = np.roots([-w / 3, -4 * l / 3, w + 2 * l, -(4 * w / 3 + 2 * l),
+                          w / 2 + 2 * l / 3])
+        s = roots[(np.abs(roots.imag) < 1e-9) & (roots.real >= 0) & (roots.real <= 1)].real
+        assert s.size == 1
+        assert abs(c - (l + w * s[0])) <= 1e-13 * w
+
+
+def test_p3_centers_take_few_kernel_passes(monkeypatch):
+    # bisection took about 53 passes per batch; Newton that silently fell
+    # back to the midpoint every step would take as many
+    m = ql.density1d(lambda x: 2 * np.asarray(x), (0, 1))
+    passes = []
+    kernel, batch = ql.Law1D.cell_integral, ql.solvers._CellOracle.centers_costs
+
+    def counted_kernel(self, *args):
+        passes[-1] += 1
+        return kernel(self, *args)
+
+    def counted_batch(self, *args, **kwargs):
+        passes.append(0)
+        return batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(ql.Law1D, "cell_integral", counted_kernel)
+    monkeypatch.setattr(ql.solvers._CellOracle, "centers_costs", counted_batch)
+    oracle = ql.solvers._CellOracle(m.law, 3)
+    grid = np.linspace(0.0, 1.0, 257)
+    ii, jj = np.triu_indices(257, k=1)
+    oracle.centers_costs(grid[ii], grid[jj])
+    solver = ql.Dp1dSolver(m, 3, n_max=16, grid_size=128)
+    for N in (1, 2, 7, 16):
+        solver.solve(N)
+    assert len(passes) > 100 and max(passes) <= 14

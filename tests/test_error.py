@@ -199,8 +199,17 @@ def test_mc_deterministic_and_needs_min_samples():
 def test_mc_sup_routes_to_sample_max():
     m = ql.uniform_interval()
     est = ql.error_mc(m, [[0.0]], np.inf, n=10 ** 4, seed=2)
-    assert est.method == "sup"
+    assert est.method == "sample-max"
     assert est.value <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(sites=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mc_sample_max_never_exceeds_the_exact_sup(sites, seed):
+    m = ql.uniform_interval()
+    est = ql.error_mc(m, np.reshape(sites, (-1, 1)), np.inf, n=1000, seed=seed)
+    assert est.value <= ql.error_exact_1d(m, sites, np.inf).value
 
 
 # ---------------------------------------------------------------------------
