@@ -83,7 +83,7 @@ def error_exact_1d(m: Measure, S, p) -> ErrorEstimate:
     mids = 0.5 * (s[:-1] + s[1:])
 
     if math.isinf(p):
-        live = np.diff(law.cdf(bp)) > 0
+        live = law.piece_mass > 0
         in_live = np.r_[False, live, False][np.searchsorted(bp, mids, side="right")]
         cand = np.concatenate([bp[:-1][live], bp[1:][live], mids[in_live]])
         dmax = np.abs(cand[:, None] - s[None, :]).min(axis=1).max()

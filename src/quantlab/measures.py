@@ -43,7 +43,8 @@ class Law1D:
 
     Carries cumulative moments of orders 0..2 on a fine grid (piecewise
     Gauss-Legendre, so smooth densities are resolved to machine precision),
-    plus declared breakpoints where the density may jump. `constant` is the
+    plus declared breakpoints where the density may jump, and `piece_mass`,
+    the mass between consecutive breakpoints. `constant` is the
     density's value when it is equal at every quadrature node of the grid,
     else None; a constant law takes closed-form cell costs in the DP and an
     affine quantile.
@@ -88,6 +89,9 @@ class Law1D:
         self.mass = float(self._cum0[-1])
         if self.mass <= 0:
             raise ValueError("density integrates to zero")
+        # mass of each breakpoint piece, read off the table: `cdf` at a
+        # breakpoint evaluates the density there, which may be infinite
+        self.piece_mass = np.diff(self._cum0[np.searchsorted(g, self.breakpoints)])
 
     def _partial(self, x, cum, order):
         x = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)

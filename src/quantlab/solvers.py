@@ -408,7 +408,7 @@ class _CellOracle:
         bp = self.law.breakpoints
         n = bp.size - 1
         k = np.arange(n)
-        live = np.diff(self.law.cdf(bp)) > 0
+        live = self.law.piece_mass > 0
         # first live piece at or after k (n if none), last at or before k (-1 if none)
         nxt = np.minimum.accumulate(np.where(live, k, n)[::-1])[::-1]
         prv = np.maximum.accumulate(np.where(live, k, -1))

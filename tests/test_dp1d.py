@@ -186,7 +186,7 @@ def bisect_centers(law, p, ls, rs):
     q = p - 1.0
     slope = lambda y: np.copysign(np.abs(y) ** q, y)
     out = 0.5 * (ls + rs)
-    idx = np.flatnonzero(law.cell_integral(ls, rs, ls, np.ones_like) > 0)
+    idx = np.flatnonzero(law.cell_integral(ls, rs, out, np.ones_like) > 0)
     ls, rs = ls[idx], rs[idx]
     lo, hi = ls, rs
     while idx.size:
@@ -220,6 +220,18 @@ def test_newton_centers_match_bisection(m, p, G, data):
     assert np.all(np.abs(centers - ref) <= 32 * np.spacing(np.abs(ref)))
     cost = lambda a: law.cell_integral(ls, rs, a, lambda y: np.abs(y) ** p)
     np.testing.assert_allclose(cost(centers), cost(ref), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+def test_centers_of_a_density_infinite_at_an_end(p):
+    # a mass test that read the density at the support end, where it is
+    # infinite, called these cells massless and left them at the midpoint
+    law = ql.density1d(lambda x: 0.5 / np.sqrt(np.asarray(x)), (0, 1)).law
+    ls, rs = np.array([0.0, 0.0, 0.5, 0.25]), np.array([0.5, 1.0, 1.0, 0.75])
+    centers = ql.solvers._CellOracle(law, p)._centers(ls, rs)
+    ref = bisect_centers(law, p, ls, rs)
+    assert np.all(np.abs(centers - ref) <= 32 * np.spacing(ref))
+    assert np.all(centers < 0.5 * (ls + rs))
 
 
 def test_p3_centers_are_the_closed_form_roots():

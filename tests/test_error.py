@@ -59,6 +59,14 @@ def test_exact_1d_sup_skips_zero_mass_gaps():
     assert est.method == "sup"
 
 
+def test_exact_1d_sup_with_a_density_infinite_at_an_end():
+    # reading the infinite density at 0 made the only piece look massless,
+    # and the maximum over no candidates raised
+    m = ql.density1d(lambda x: 0.5 / np.sqrt(np.asarray(x)), (0, 1))
+    est = ql.error_exact_1d(m, [0.5], np.inf)
+    assert est.value == 0.5 and est.method == "sup"
+
+
 def test_curve_segment_matches_interval():
     m = ql.curve_measure(ql.segment_curve([0, 0], [1, 0]))
     est = ql.error_curve(m, [[0.5, 0.0]], 2)
