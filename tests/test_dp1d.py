@@ -201,20 +201,18 @@ def bisect_centers(law, p, ls, rs):
     return out
 
 
-def _grid_cells(data, law, G):
-    pairs = data.draw(st.lists(st.tuples(st.integers(0, G), st.integers(0, G)).filter(
-        lambda ij: ij[0] < ij[1]), min_size=1, max_size=24), label="cells")
-    grid = np.linspace(law.lo, law.hi, G + 1)
-    i, j = np.array(pairs).T
-    return grid[i], grid[j]
-
-
 @settings(max_examples=60, deadline=None)
 @given(m=st.one_of(densities, st.builds(_step_density)),
        p=st.sampled_from([1.25, 1.5, 2.5, 3.0, 4.0]), G=st.integers(8, 96), data=st.data())
 def test_newton_centers_match_bisection(m, p, G, data):
+    # cells of a DP grid, as the oracle meets them: on a cell far narrower
+    # than its distance from 0, one ulp of centre moves the quadrature of the
+    # cost by about p ulp(a) / width relative, whichever centre is right
     law = m.law
-    ls, rs = _grid_cells(data, law, G)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, G), st.integers(0, G)).filter(
+        lambda ij: ij[0] < ij[1]), min_size=1, max_size=24), label="cells")
+    grid = np.linspace(law.lo, law.hi, G + 1)
+    ls, rs = grid[np.array(pairs).T]
     centers = ql.solvers._CellOracle(law, p)._centers(ls, rs)
     ref = bisect_centers(law, p, ls, rs)
     assert np.all(np.abs(centers - ref) <= 32 * np.spacing(np.abs(ref)))
