@@ -22,7 +22,6 @@ from scipy.integrate import quad
 from .asymptotics import p_prime
 from .error import check_order
 from .measures import Measure, derive_seed, sample
-from .solvers import SolverConfig, auto_solver, dp_optimal_1d, lloyd
 from .spatial import omega
 
 
@@ -177,15 +176,13 @@ def measure_ball_fn(nu: Measure, x):
 
 
 def rand_quant_bound(m: Measure, nu: Measure, p, s: float, N: int,
-                     n_mc: int = 128, seed=0, empirical: float | None = None,
-                     cfg: SolverConfig | None = None) -> BoundReport:
+                     n_mc: int = 128, seed=0, empirical: float | None = None
+                     ) -> BoundReport:
     """Monte Carlo estimate of int F_nu,N dmu with a paired empirical check.
 
     Draws x from mu, evaluates the integrand through nu's exact ball
     function, and reports mean, standard error, and whether the supplied (or
-    best-found) empirical N^(p/s) V_N,p sits below the bound. Without a
-    supplied value, the exact DP serves a density1d at finite p and Lloyd,
-    run with `cfg`, every other measure.
+    best-found) empirical N^(p/s) V_N,p sits below the bound.
     """
     p = check_order(p)
     cloud = sample(m, n_mc, derive_seed(seed, "rand-quant-bound"))
@@ -195,10 +192,11 @@ def rand_quant_bound(m: Measure, nu: Measure, p, s: float, N: int,
     se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
     if empirical is None:
+        from .solvers import auto_solver, dp_optimal_1d, lloyd
         if auto_solver(m, p) == "dp":
             q = dp_optimal_1d(m, N, p)
         else:
-            q = lloyd(m, N, p, cfg=cfg, seed=derive_seed(seed, "emp"))
+            q = lloyd(m, N, p, seed=derive_seed(seed, "emp"))
         empirical = N ** (p / s) * q.error.value ** p
     ok = empirical <= mean + 3.0 * se
     return BoundReport("random-quantizer", mean, "upper",

@@ -137,15 +137,6 @@ def test_rand_quant_bound_restricted_density_falls_back_to_lloyd():
     assert rep.compared_to["passes"]
 
 
-def test_rand_quant_bound_passes_its_solver_config_to_lloyd():
-    # the default config runs 8 restarts on a 1e5-point working sample and
-    # 2^19 evaluation draws: 4.4 s for a 4-point quantizer
-    half = ql.restrict(ql.uniform_interval(), lambda x: x[0] <= 0.5)
-    cfg = ql.SolverConfig(restarts=1, working_sample=5000, eval_samples=20000)
-    rep = ql.rand_quant_bound(half, ql.uniform_interval(), 2, 1.0, 4, n_mc=8, cfg=cfg)
-    assert rep.compared_to["empirical"] == pytest.approx(0.5 / 48, rel=0.05)
-
-
 def test_decaying_mixture_tail_example():
     mix = ql.decaying_mixture(ql.lebesgue_halfline(), 0.0, alpha=2.0, beta=4.0,
                               R0=1.0)
