@@ -192,11 +192,14 @@ def rand_quant_bound(m: Measure, nu: Measure, p, s: float, N: int,
     se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
     if empirical is None:
-        from .solvers import auto_solver, dp_optimal_1d, lloyd
+        from .solvers import SolverConfig, auto_solver, dp_optimal_1d, lloyd
         if auto_solver(m, p) == "dp":
             q = dp_optimal_1d(m, N, p)
         else:
-            q = lloyd(m, N, p, seed=derive_seed(seed, "emp"))
+            # Lloyd's sample and error draws: 2048 per point, up to the default
+            n = min(2048 * N, SolverConfig.eval_samples)
+            q = lloyd(m, N, p, cfg=SolverConfig(working_sample=n, eval_samples=n),
+                      seed=derive_seed(seed, "emp"))
         empirical = N ** (p / s) * q.error.value ** p
     ok = empirical <= mean + 3.0 * se
     return BoundReport("random-quantizer", mean, "upper",

@@ -38,16 +38,22 @@ def derive_seed(seed, *parts):
     return [int(v) for v in out]
 
 
+def _powers(x):
+    """The moment integrands 1, x and x^2."""
+    return 1.0, x, x * x
+
+
 class Law1D:
     """A nonnegative 1D density on an interval with CDF/quantile machinery.
 
     Carries cumulative moments of orders 0..2 on a fine grid (piecewise
     Gauss-Legendre, so smooth densities are resolved to machine precision),
     plus declared breakpoints where the density may jump, and `piece_mass`,
-    the mass between consecutive breakpoints. `constant` is the
-    density's value when it is equal at every quadrature node of the grid,
-    else None; a constant law takes closed-form cell costs in the DP and an
-    affine quantile.
+    the mass between consecutive breakpoints. In every integral a piece of
+    zero width adds exactly 0 (`_integrate`), so the density may be infinite
+    at a breakpoint or an end. `constant` is the density's value when it is
+    equal at every quadrature node of the grid, else None; a constant law
+    takes closed-form cell costs in the DP and an affine quantile.
     """
 
     def __init__(self, pdf, lo, hi, breakpoints=()):
@@ -55,12 +61,8 @@ class Law1D:
             raise ValueError("empty support interval")
         self.pdf = pdf
         self.lo, self.hi = float(lo), float(hi)
-        pts = {self.lo, self.hi}
-        for b in breakpoints:
-            b = float(b)
-            if self.lo < b < self.hi:
-                pts.add(b)
-        self.breakpoints = np.array(sorted(pts))
+        inner = {float(b) for b in breakpoints if self.lo < float(b) < self.hi}
+        self.breakpoints = np.array(sorted(inner | {self.lo, self.hi}))
 
         # grid: proportional share of nodes per smooth piece, at least 8 each
         nodes = [np.array([self.lo])]
@@ -70,52 +72,56 @@ class Law1D:
             nodes.append(np.linspace(a, b, k + 1)[1:])
         self.grid = np.concatenate(nodes)
 
-        g = self.grid
-        half = 0.5 * (g[1:] - g[:-1])
-        mid = 0.5 * (g[1:] + g[:-1])
-        x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        fx = np.asarray(pdf(x), dtype=float)
-        if fx.shape != x.shape:
-            fx = np.broadcast_to(fx, x.shape)
+        cells, fx = self._integrate(self.grid[:-1], self.grid[1:], _powers)
         if not np.all(np.isfinite(fx)):
             raise ValueError("density must be finite")
         if np.any(fx < -1e-12):
             raise ValueError("density must be nonnegative")
         self.constant = float(fx.flat[0]) if np.all(fx == fx.flat[0]) else None
-        w = half[:, None] * _GL_WEIGHTS[None, :]
-        self._cum0 = np.concatenate([[0.0], np.cumsum(np.sum(w * fx, axis=1))])
-        self._cum1 = np.concatenate([[0.0], np.cumsum(np.sum(w * fx * x, axis=1))])
-        self._cum2 = np.concatenate([[0.0], np.cumsum(np.sum(w * fx * x * x, axis=1))])
-        self.mass = float(self._cum0[-1])
+        # cumulative moments of orders 0, 1, 2 at the grid nodes
+        self._cum = np.concatenate([np.zeros((3, 1)), np.cumsum(cells, axis=1)], axis=1)
+        self.mass = float(self._cum[0, -1])
         if self.mass <= 0:
             raise ValueError("density integrates to zero")
-        # mass of each breakpoint piece, read off the table: `cdf` at a
-        # breakpoint evaluates the density there, which may be infinite
-        self.piece_mass = np.diff(self._cum0[np.searchsorted(g, self.breakpoints)])
+        self.piece_mass = np.diff(self.cdf(self.breakpoints))
 
-    def _partial(self, x, cum, order):
-        x = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
-        idx = np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0,
-                      len(self.grid) - 2)
-        a = self.grid[idx]
-        half = 0.5 * (x - a)
-        mid = 0.5 * (x + a)
-        t = mid[..., None] + half[..., None] * _GL_NODES
-        ft = np.asarray(self.pdf(t), dtype=float)
-        if ft.shape != t.shape:
-            ft = np.broadcast_to(ft, t.shape)
-        if order >= 1:
-            ft = ft * t if order == 1 else ft * t * t
-        return cum[idx] + np.sum(half[..., None] * _GL_WEIGHTS * ft, axis=-1)
+    def _rho(self, x):
+        """The density at x, as floats in x's shape."""
+        fx = np.asarray(self.pdf(x), dtype=float)
+        return fx if fx.shape == x.shape else np.broadcast_to(fx, x.shape)
+
+    def _integrate(self, l, r, g=None):
+        """16-node Gauss-Legendre integrals of g(x) rho(x) over each piece
+        [l, r] (of rho alone if g is None), and rho at the nodes.
+
+        g may return a tuple of integrands, whose integrals are then stacked
+        along a new leading axis. A piece of zero width adds exactly 0: rho's
+        value there, which may be infinite, never enters a sum.
+        """
+        half = 0.5 * (r - l)
+        x = (0.5 * (r + l))[..., None] + half[..., None] * _GL_NODES
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fx = self._rho(x)
+            wf = _GL_WEIGHTS * fx
+            gx = 1.0 if g is None else g(x)
+            s = (np.stack([(wf * gi).sum(axis=-1) for gi in gx]) if isinstance(gx, tuple)
+                 else (wf * gx).sum(axis=-1))
+            return np.where(half > 0, half * s, 0.0), fx
+
+    def _locate(self, x):
+        """x clipped to the support, and the index of its grid cell."""
+        x = np.minimum(np.maximum(np.asarray(x, dtype=float), self.lo), self.hi)
+        return x, np.searchsorted(self.grid[1:-1], x, side="right")
 
     def cdf(self, x):
-        return self._partial(x, self._cum0, 0)
+        x, idx = self._locate(x)
+        return self._cum[0][idx] + self._integrate(self.grid[idx], x)[0]
 
     def moments(self, x):
-        """Cumulative (mass, first moment, second moment) from lo to x."""
-        return (self._partial(x, self._cum0, 0),
-                self._partial(x, self._cum1, 1),
-                self._partial(x, self._cum2, 2))
+        """Cumulative mass, first and second moment from lo to x, stacked
+        along a new leading axis."""
+        x, idx = self._locate(x)
+        return self._cum.take(idx, axis=1) + self._integrate(self.grid[idx], x, _powers)[0]
 
     def cell_integral(self, ls, rs, a, f):
         """Integral of f(x - a) rho(x) over [l, r], for arrays of cells.
@@ -123,30 +129,25 @@ class Law1D:
         ls, rs and a share one shape. Each cell is split at a (clipped to the
         cell) and at the declared breakpoints inside it, and each piece takes
         the 16-node rule, so neither a jump of rho nor a kink of f at 0 falls
-        inside a piece. f may stack k integrands along a new leading axis;
-        the result then has that axis too, and x and rho(x) serve all k.
+        inside a piece. f may return a tuple of k integrands; the result then
+        stacks them along a new leading axis, and x and rho(x) serve all k.
         """
         edges = np.stack([ls, np.clip(a, ls, rs), rs], axis=-1)
         if self.breakpoints.size > 2:
             inner = np.clip(self.breakpoints[1:-1], ls[..., None], rs[..., None])
             edges = np.sort(np.concatenate([edges, inner], axis=-1), axis=-1)
-        half = 0.5 * (edges[..., 1:] - edges[..., :-1])
-        mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
-        x = mid[..., None] + half[..., None] * _GL_NODES
-        fx = np.asarray(self.pdf(x), dtype=float)
-        pieces = (_GL_WEIGHTS * fx * f(x - a[..., None, None])).sum(axis=-1)
-        return (half * pieces).sum(axis=-1)
+        return self._integrate(edges[..., :-1], edges[..., 1:],
+                               lambda x: f(x - a[..., None, None]))[0].sum(axis=-1)
 
     def ppf(self, u):
         """Quantile on [0, mass]: affine if constant, else grid inverse + Newton."""
         u = np.clip(np.asarray(u, dtype=float), 0.0, self.mass)
         if self.constant is not None:
             return np.minimum(self.lo + u / self.constant, self.hi)
-        t = np.interp(u, self._cum0, self.grid)
+        t = np.interp(u, self._cum[0], self.grid)
         for _ in range(2):
-            ft = np.asarray(self.pdf(np.atleast_1d(t)), dtype=float)
-            ft = np.broadcast_to(ft, np.atleast_1d(t).shape)
-            step = (self.cdf(t) - u) / np.maximum(ft.reshape(np.shape(t)), 1e-12)
+            ft = self._rho(np.atleast_1d(t)).reshape(np.shape(t))
+            step = (self.cdf(t) - u) / np.maximum(ft, 1e-12)
             t = np.clip(t - step, self.lo, self.hi)
         return t
 
@@ -311,9 +312,8 @@ def density1d(pdf, support, breakpoints=(), normalize=True, label="") -> Measure
 
 def uniform_interval(lo=0.0, hi=1.0) -> Measure:
     rho = 1.0 / (hi - lo)
-    m = density1d(lambda x, _r=rho: np.full_like(np.asarray(x, dtype=float), _r),
-                  (lo, hi), label=f"uniform[{lo},{hi}]")
-    return m
+    return density1d(lambda x, _r=rho: np.full_like(np.asarray(x, dtype=float), _r),
+                     (lo, hi), label=f"uniform[{lo},{hi}]")
 
 
 def piecewise_uniform(intervals, normalize=True) -> Measure:
@@ -333,9 +333,8 @@ def piecewise_uniform(intervals, normalize=True) -> Measure:
         return np.minimum(inside, 1.0)
 
     breaks = sorted({v for ab in iv for v in ab})
-    m = density1d(pdf, (lo, hi), breakpoints=breaks, normalize=normalize,
-                  label="piecewise-uniform")
-    return m
+    return density1d(pdf, (lo, hi), breakpoints=breaks, normalize=normalize,
+                     label="piecewise-uniform")
 
 
 def _segment_area(r, a, b):

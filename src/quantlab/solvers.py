@@ -158,18 +158,12 @@ def _miniball_2d(points, rng):
             for k in range(j):
                 if np.linalg.norm(P[k] - c) <= r + eps:
                     continue
-                cc = _circumcircle(P[i], P[j], P[k])
-                if cc is None:
+                c = _circumcircle(P[i], P[j], P[k])
+                if c is None:
                     # collinear triple: the diameter pair encloses all three
-                    tri = np.array([P[i], P[j], P[k]])
-                    dmax, pair = -1.0, (0, 1)
-                    for u in range(3):
-                        for v in range(u + 1, 3):
-                            dd = np.linalg.norm(tri[u] - tri[v])
-                            if dd > dmax:
-                                dmax, pair = dd, (u, v)
-                    cc = 0.5 * (tri[pair[0]] + tri[pair[1]])
-                c = cc
+                    u, v = max(((P[i], P[j]), (P[i], P[k]), (P[j], P[k])),
+                               key=lambda uv: np.linalg.norm(uv[0] - uv[1]))
+                    c = 0.5 * (u + v)
                 r = np.linalg.norm(P[i] - c)
     return c
 
@@ -428,13 +422,15 @@ class _CellOracle:
         ulps, or when no float lies strictly between the midpoint and an end
         of the bracket. The bracket and the first iterate come from the cell
         clipped to its positive-mass hull, so a centre depends only on where
-        its cell holds mass; cells without mass keep their midpoint.
+        its cell holds mass; cells without mass keep their midpoint. An F
+        that is not finite, which a singular point inside a piece can give,
+        raises ValueError rather than stall the bracket.
         """
         q = self.p - 1.0
 
         def kernel(y):
             m = np.abs(y)
-            return np.stack([np.copysign(m ** q, y), m ** (q - 1.0)])
+            return np.copysign(m ** q, y), m ** (q - 1.0)
 
         out = 0.5 * (ls + rs)
         hl, hr, has = self._hulls(ls, rs)
@@ -447,6 +443,9 @@ class _CellOracle:
             with np.errstate(divide="ignore", invalid="ignore"):  # |0|^(p-2), p < 2
                 F, dI = self.law.cell_integral(hl, hr, a, kernel)
                 step = F / (q * dI)
+            if not np.all(np.isfinite(F)):
+                raise ValueError("cell integral is not finite: declare the density's "
+                                 "singular points as breakpoints")
             lo, hi = np.where(F > 0, a, lo), np.where(F < 0, a, hi)
             usable = np.isfinite(dI) & np.isfinite(step)
             new = a + step
@@ -560,8 +559,7 @@ class Dp1dSolver:
             return lambda i, j: oracle.centers_costs(grid[i], grid[j])[1]
         nodal = oracle.law.moments(grid)  # one pass; cells index into it
         return lambda i, j: oracle.centers_costs(
-            grid[i], grid[j], moments_l=tuple(a[i] for a in nodal),
-            moments_r=tuple(a[j] for a in nodal))[1]
+            grid[i], grid[j], moments_l=nodal.take(i, 1), moments_r=nodal.take(j, 1))[1]
 
     def grid_boundaries(self, N: int) -> np.ndarray:
         """Interior cell boundaries of the grid-optimal N-cell solution."""

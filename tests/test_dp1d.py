@@ -1,6 +1,9 @@
 """The exact 1D DP against a dense O(G^2)-per-layer oracle and against exact
 quadrature of its own points, and its memory."""
 
+import contextlib
+import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -275,3 +278,66 @@ def test_p3_centers_take_few_kernel_passes(monkeypatch):
     for N in (1, 2, 7, 16):
         solver.solve(N)
     assert len(passes) > 100 and max(passes) <= 14
+
+
+def _sqrt_singular_middle():
+    return ql.density1d(lambda x: np.abs(x - 0.5) ** -0.5, (0, 1), breakpoints=[0.5])
+
+
+@pytest.mark.parametrize("p, center, value", [(1, 0.25, 0.25), (2, 1 / 3, math.sqrt(4 / 45))])
+def test_dp_on_a_density_infinite_at_an_end(p, center, value):
+    # rho = x^(-1/2) / 2 on (0, 1] is the law of U^2 for U uniform. One point:
+    # the median 1/4 with E|U^2 - 1/4| = 1/4 (p = 1), or the mean 1/3 with
+    # Var U^2 = 4/45 (p = 2); a cell from 0 that read rho(0) cost 0
+    m = ql.density1d(lambda x: 0.5 / np.sqrt(x), (0, 1))
+    dp = ql.Dp1dSolver(m, p, n_max=4, grid_size=64)
+    q = dp.solve(1)
+    assert q.error.value == pytest.approx(value, rel=1e-3)
+    assert q.points[0, 0] == pytest.approx(center, abs=1e-3)
+    q = dp.solve(2)
+    exact = ql.error_exact_1d(m, q.points.ravel(), p).value
+    assert q.error.value == pytest.approx(exact, rel=1e-3)
+
+
+def test_dp_on_a_density_infinite_at_a_breakpoint():
+    m = _sqrt_singular_middle()
+    q = ql.Dp1dSolver(m, 2, n_max=4, grid_size=64).solve(2)
+    exact = ql.error_exact_1d(m, q.points.ravel(), 2).value
+    assert exact > 0.1 and q.error.value == pytest.approx(exact, rel=1e-3)
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Turn a centre search that never returns into a failing test."""
+    def hung(*_):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_p3_centers_with_a_singular_breakpoint_return():
+    # the breakpoint clipped to the cell [0.25, 0.5] leaves a zero-width piece
+    # at 0.5, where rho is infinite; a NaN there once kept the bracket open
+    m = _sqrt_singular_middle()
+    with _within(30):
+        centers, costs = ql.solvers._CellOracle(m.law, 3).centers_costs(
+            np.array([0.25]), np.array([0.5]))
+        q = ql.Dp1dSolver(m, 3, n_max=2, grid_size=16).solve(2)
+    assert np.all(np.isfinite(costs)) and 0.25 < centers[0] < 0.5
+    # the 16-node rule on a piece next to the singular point is 0.3% off here
+    assert q.error.value == pytest.approx(
+        ql.error_exact_1d(m, q.points.ravel(), 3).value, rel=1e-2)
+
+
+def test_centers_raise_on_a_non_finite_cell_integral(monkeypatch):
+    law = ql.density1d(lambda x: 2 * np.asarray(x), (0, 1)).law
+    monkeypatch.setattr(ql.Law1D, "cell_integral",
+                        lambda self, ls, rs, a, f: np.full((2,) + np.shape(ls), np.nan))
+    with _within(30), pytest.raises(ValueError, match="not finite"):
+        ql.solvers._CellOracle(law, 3).centers_costs(np.array([0.0]), np.array([1.0]))

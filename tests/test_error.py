@@ -153,6 +153,14 @@ def test_curve_sup_skips_zero_mass_gaps():
     assert est.method == "sup"
 
 
+def test_curve_sup_with_a_density_infinite_at_an_end():
+    # arc law rho(t) = t^(-1/2) / 2, infinite at 0: the piece next to 0 holds
+    # mass, so the supremum is the distance 0.9 from that end
+    law = ql.Law1D(lambda t: 0.5 / np.sqrt(t), 0.0, 1.0)
+    arc = ql.curve_measure(ql.segment_curve([0, 0], [1, 0]), density1d_law=law)
+    assert ql.error_curve(arc, [[0.9, 0.0]], np.inf).value == 0.9
+
+
 def test_curve_with_a_repeated_vertex():
     # oracle: two unit legs, each with a site at its midpoint: 2 * 2 * (1/2)^3 / 3
     c = ql.Curve([[0, 0], [1, 0], [1, 0], [1, 1]])

@@ -220,6 +220,33 @@ def test_law1d_cdf_ppf_roundtrip():
     assert np.allclose(law.cdf(xs), xs ** 2, atol=1e-12)
 
 
+def test_law_with_a_density_infinite_at_an_end():
+    # rho = x^(-1/2) / 2 is infinite at 0; a piece of zero width adds exactly
+    # 0, so neither cdf(0) nor the mass of [0, 1] reads rho(0)
+    law = ql.density1d(lambda x: 0.5 / np.sqrt(x), (0, 1)).law
+    assert law.cdf(0.0) == 0.0
+    assert np.array_equal(law.moments(0.0), [0.0, 0.0, 0.0])
+    assert np.all(np.isfinite(law.piece_mass)) and law.piece_mass.sum() > 0
+
+
+def test_moments_read_the_density_once():
+    calls = []
+
+    def pdf(x):
+        calls.append(np.shape(x))
+        return 2 * np.asarray(x)
+
+    law = ql.Law1D(pdf, 0.0, 1.0)
+    xs = np.linspace(0.0, 1.0, 7)
+    calls.clear()
+    m0, m1, m2 = law.moments(xs)
+    assert len(calls) == 1
+    # exact cumulative moments of 2x dx: x^2, 2x^3/3, x^4/2
+    np.testing.assert_allclose(m0, xs ** 2, atol=1e-14)
+    np.testing.assert_allclose(m1, 2 * xs ** 3 / 3, atol=1e-14)
+    np.testing.assert_allclose(m2, xs ** 4 / 2, atol=1e-14)
+
+
 def test_ball_measure_monotone_and_bounded():
     m = ql.density1d(lambda x: 2 * np.asarray(x), (0, 1))
     rs = np.linspace(1e-4, 2.0, 50)
