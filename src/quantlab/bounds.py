@@ -185,6 +185,8 @@ def rand_quant_bound(m: Measure, nu: Measure, p, s: float, N: int,
     best-found) empirical N^(p/s) V_N,p sits below the bound.
     """
     p = check_order(p)
+    if n_mc < 2:
+        raise ValueError("n_mc must be >= 2 for a standard error")
     cloud = sample(m, n_mc, derive_seed(seed, "rand-quant-bound"))
     vals = np.array([rand_quant_integrand(measure_ball_fn(nu, x), p, s, N)
                      for x in cloud.points])
@@ -247,20 +249,10 @@ class DecayingMixture:
     weights: np.ndarray
     annuli: tuple  # (r_in, r_out, mass_in, mass_out) per kept annulus
     dropped: tuple
-    radial_ball: callable = field(repr=False, default=None)
 
     def tail(self, R: float) -> float:
-        """Exact 1 - nu_hat(B_R(x0)) from the radial overlap identity."""
-        out = 0.0
-        for lam, (r_in, r_out, mass_in, mass_out) in zip(self.weights, self.annuli):
-            mass = mass_out - mass_in
-            if R <= r_in or mass <= 0:
-                covered = 0.0
-            else:
-                covered = (self.radial_ball(min(R, r_out)) - mass_in) / mass
-                covered = min(max(covered, 0.0), 1.0)
-            out += lam * (1.0 - covered)
-        return out
+        """Exact 1 - nu_hat(B_R(x0)), from the mixture's own ball function."""
+        return 1.0 - self.measure.ball_measure(self.x0, R)
 
 
 _TAIL_EPS = 1e-16  # decaying_mixture keeps annuli until q^K falls below this
@@ -273,9 +265,11 @@ def decaying_mixture(nu: RadialMeasure, x0, alpha: float, beta: float,
     Annuli A_0 = B_{sqrt(beta) R0} and A_k = B_{beta^((k+1)/2) R0} minus
     B_{beta^((k-1)/2) R0} carry normalized geometric weights
     lambda_k = (1-q) q^k with q = beta^(-alpha/2), which reproduces the tail
-    identity sum_{l >= k-1} lambda_l = q^(k-1) and hence
-    1 - nu_hat(B_R(x0)) <= (R/R0)^(-alpha) for R >= R0. Zero-mass annuli are
-    dropped with renormalization and flagged.
+    identity sum_{l >= k-1} lambda_l = q^(k-1). So 1 - nu_hat(B_R(x0)) is at
+    most (R/R0)^(-alpha) at R = R0 beta^(k/2), k >= 0, and at most
+    beta^(alpha/2) (R/R0)^(-alpha) for every R >= R0 (alpha = 2, beta = 4,
+    R0 = 1: 0.1171875 > 1/9 at R = 3). Zero-mass annuli are dropped with
+    renormalization and flagged.
     """
     if beta <= 1:
         raise ValueError("beta must exceed 1")
@@ -326,8 +320,7 @@ def decaying_mixture(nu: RadialMeasure, x0, alpha: float, beta: float,
     measure = Measure(kind="mixture", ambient_dim=nu.ambient_dim,
                       intrinsic_dim=float(nu.ambient_dim), total_mass=1.0,
                       sampler=sampler, ball_measure=ball, label="annuli-mixture")
-    return DecayingMixture(measure, x0v, alpha, beta, R0, q, lam_kept, annuli,
-                           dropped, radial_ball=nu.ball_mass)
+    return DecayingMixture(measure, x0v, alpha, beta, R0, q, lam_kept, annuli, dropped)
 
 
 def sandwich_check(estimates, lower: BoundReport, upper: BoundReport,

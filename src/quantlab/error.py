@@ -70,33 +70,30 @@ class ErrorEstimate:
 
 
 def error_exact_1d(m: Measure, S, p) -> ErrorEstimate:
-    """Exact e_p for a 1D density measure by per-cell adaptive quadrature; at
-    p = inf the largest distance over the support ends and Voronoi midpoints
-    of the law's breakpoint pieces of positive mass."""
+    """Exact e_p for a 1D density measure by adaptive quadrature over each
+    site's Voronoi cell clipped to `Law1D.hull`; at p = inf the largest
+    distance from a site to the farther end of its cell's hull."""
     p = check_order(p)
     if m.law is None or m.kind != "density1d":
         raise ValueError("error_exact_1d needs a density1d measure")
     s = np.unique(np.asarray(S, dtype=float).ravel())
     if s.size == 0:
         raise ValueError("empty site list")
-    law, bp = m.law, m.law.breakpoints
-    mids = 0.5 * (s[:-1] + s[1:])
+    law = m.law
+    edges = np.concatenate([[law.lo], np.clip(0.5 * (s[:-1] + s[1:]), law.lo, law.hi),
+                            [law.hi]])
+    hl, hr, has = law.hull(edges[:-1], edges[1:])
+    hl, hr, s = hl[has], hr[has], s[has]
 
     if math.isinf(p):
-        live = law.piece_mass > 0
-        in_live = np.r_[False, live, False][np.searchsorted(bp, mids, side="right")]
-        cand = np.concatenate([bp[:-1][live], bp[1:][live], mids[in_live]])
-        dmax = np.abs(cand[:, None] - s[None, :]).min(axis=1).max()
-        return ErrorEstimate(float(dmax), 0.0, 0, "sup")
+        return ErrorEstimate(float(np.maximum(s - hl, hr - s).max()), 0.0, 0, "sup")
 
-    # one quad call per Voronoi cell (clipped to the support), told its cuts
-    edges = np.concatenate([[law.lo], np.clip(mids, law.lo, law.hi), [law.hi]])
+    # one quad call per cell hull, told its cuts
     V = 0.0
-    for l, r, a in zip(edges[:-1], edges[1:], s):
-        if r > l:
-            cuts = [c for c in (a, *bp[1:-1]) if l < c < r]
-            V += quad(lambda x: abs(x - a) ** p * float(law.pdf(np.array([x]))[0]), l, r,
-                      points=cuts or None, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    for l, r, a in zip(hl, hr, s):
+        cuts = [c for c in (a, *law.breakpoints[1:-1]) if l < c < r]
+        V += quad(lambda x: abs(x - a) ** p * float(law.pdf(np.array([x]))[0]), l, r,
+                  points=cuts or None, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
     return ErrorEstimate(V ** (1.0 / p), 0.0, 0, "exact1d")
 
 
@@ -165,7 +162,7 @@ def error_curve(m: Measure, S, p) -> ErrorEstimate:
     k = np.searchsorted(cum, l, side="right") - 1
     a, h2 = _foot(m.curve, S, k, tree.query(m.curve.point_at(0.5 * (l + r)))[1])
     if math.isinf(p):
-        live = np.diff(law.cdf(E)) > 0
+        live = law.hull(l, r)[2]
         ends = np.maximum((l - a) ** 2, (r - a) ** 2) + h2
         return ErrorEstimate(float(np.sqrt(ends[live].max())), 0.0, 0, "sup")
     V = 0.0

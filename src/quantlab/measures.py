@@ -51,7 +51,8 @@ class Law1D:
     plus declared breakpoints where the density may jump, and `piece_mass`,
     the mass between consecutive breakpoints. In every integral a piece of
     zero width adds exactly 0 (`_integrate`), so the density may be infinite
-    at a breakpoint or an end. `constant` is the density's value when it is
+    at a breakpoint or an end. `hull` decides where the law holds mass, at
+    the grid's resolution. `constant` is the density's value when it is
     equal at every quadrature node of the grid, else None; a constant law
     takes closed-form cell costs in the DP and an affine quantile.
     """
@@ -84,6 +85,13 @@ class Law1D:
         if self.mass <= 0:
             raise ValueError("density integrates to zero")
         self.piece_mass = np.diff(self.cdf(self.breakpoints))
+        # per cell: first live cell at or after it (or the count), last at or before
+        # (or -1). Liveness reads each cell's own mass: a tail cell's mass may
+        # round away in the cumulative sum
+        live = cells[0] > 0
+        k = np.arange(live.size)
+        self._first_live = np.minimum.accumulate(np.where(live, k, live.size)[::-1])[::-1]
+        self._last_live = np.maximum.accumulate(np.where(live, k, -1))
 
     def _rho(self, x):
         """The density at x, as floats in x's shape."""
@@ -116,6 +124,17 @@ class Law1D:
     def cdf(self, x):
         x, idx = self._locate(x)
         return self._cum[0][idx] + self._integrate(self.grid[idx], x)[0]
+
+    def hull(self, ls, rs):
+        """Each interval [l, r] clipped to the grid cells of positive mass it
+        meets, and whether it meets any (a zero-width interval meets none). A
+        zero of rho inside a cell, unless a breakpoint, leaves the cell in."""
+        ls, rs = (np.clip(np.asarray(v, dtype=float), self.lo, self.hi) for v in (ls, rs))
+        inner = self.grid[1:-1]
+        j0 = self._first_live[np.searchsorted(inner, ls, side="right")]
+        j1 = self._last_live[np.searchsorted(inner, rs, side="left")]
+        return (np.maximum(ls, self.grid[j0]), np.minimum(rs, self.grid[j1 + 1]),
+                (j0 <= j1) & (ls < rs))
 
     def moments(self, x):
         """Cumulative mass, first and second moment from lo to x, stacked
@@ -158,7 +177,8 @@ class Law1D:
         """Mass of the open interval (x - r, x + r) within the support."""
         if r <= 0:
             return 0.0
-        return float(self.cdf(x + r) - self.cdf(x - r))
+        lo, hi = self.cdf(np.array([x - r, x + r]))
+        return float(hi - lo)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,10 @@ class SolverConfig:
             raise ValueError("rel_tol must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.working_sample is not None and self.working_sample < 1:
+            raise ValueError("working_sample must be >= 1, or None for the default")
+        if self.eval_samples < 100:
+            raise ValueError("eval_samples must be >= 100")
 
 
 @dataclass(frozen=True)
@@ -396,21 +400,6 @@ class _CellOracle:
         return centers, self.law.cell_integral(ls, rs, centers,
                                                lambda y: np.abs(y) ** self.p)
 
-    def _hulls(self, ls, rs):
-        """Each cell clipped to the law's breakpoint pieces of positive mass
-        that it meets, and whether it meets any."""
-        bp = self.law.breakpoints
-        n = bp.size - 1
-        k = np.arange(n)
-        live = self.law.piece_mass > 0
-        # first live piece at or after k (n if none), last at or before k (-1 if none)
-        nxt = np.minimum.accumulate(np.where(live, k, n)[::-1])[::-1]
-        prv = np.maximum.accumulate(np.where(live, k, -1))
-        j0 = nxt[np.clip(np.searchsorted(bp, ls, side="right") - 1, 0, n - 1)]
-        j1 = prv[np.clip(np.searchsorted(bp, rs, side="left") - 1, 0, n - 1)]
-        return (np.maximum(ls, bp[np.minimum(j0, n - 1)]),
-                np.minimum(rs, bp[np.maximum(j1, 0) + 1]), j0 <= j1)
-
     def _centers(self, ls, rs):
         """Root of F(a) = integral of sign(x-a)|x-a|^(p-1) rho, decreasing in a.
 
@@ -433,7 +422,7 @@ class _CellOracle:
             return np.copysign(m ** q, y), m ** (q - 1.0)
 
         out = 0.5 * (ls + rs)
-        hl, hr, has = self._hulls(ls, rs)
+        hl, hr, has = self.law.hull(ls, rs)
         idx = np.flatnonzero(has)
         hl, hr = hl[idx], hr[idx]
         lo, hi = hl, hr

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -127,6 +128,12 @@ def test_rand_quant_bound_n1():
     assert rep.compared_to["passes"]
 
 
+def test_rand_quant_bound_needs_two_draws_for_a_standard_error():
+    m = ql.uniform_interval()
+    with pytest.raises(ValueError, match="n_mc"):
+        ql.rand_quant_bound(m, m, 2, 1.0, 4, n_mc=1, empirical=0.0)
+
+
 def test_rand_quant_bound_restricted_density_falls_back_to_lloyd():
     # a restriction has no exact law, so the empirical side comes from Lloyd;
     # oracle: N^2 V_N of uniform [0, 1/2] is N^2 (1/2) (1/(2N))^2 / 12
@@ -152,6 +159,20 @@ def test_decaying_mixture_tail_bound_on_grid():
                               R0=1.0)
     for R in (1, 2, 4, 8, 16, 32, 64):
         assert mix.tail(float(R)) <= (R / 1.0) ** -2.0 + 1e-15
+
+
+def test_decaying_mixture_tail_bound_off_grid():
+    # off the grid R0 beta^(k/2) the bound loses at most a factor beta^(alpha/2)
+    for alpha, beta, R0 in itertools.product([0.5, 1, 2, 3], [1.5, 2, 4, 9], [0.5, 1, 3]):
+        mix = ql.decaying_mixture(ql.lebesgue_halfline(), 0.0, alpha, beta, R0)
+        for R in R0 * np.geomspace(1.0, 1e3, 97):
+            assert mix.tail(R) <= beta ** (alpha / 2) * (R / R0) ** -alpha + 1e-15
+        for k in range(12):
+            R = R0 * beta ** (k / 2)
+            assert mix.tail(R) <= (R / R0) ** -alpha + 1e-15
+    # between grid radii (R/R0)^(-alpha) alone does not hold
+    mix = ql.decaying_mixture(ql.lebesgue_halfline(), 0.0, 2.0, 4.0, 1.0)
+    assert mix.tail(3.0) == pytest.approx(0.1171875, abs=1e-15) and mix.tail(3.0) > 1 / 9
 
 
 def test_decaying_mixture_mass_and_determinism():

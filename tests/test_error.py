@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import quantlab as ql
 
@@ -330,3 +331,72 @@ def test_restricted_curve_routes_to_monte_carlo():
     q = ql.lloyd(arc, 4, 2, cfg, seed=0)
     assert q.error.method == "montecarlo"
     assert q.error.n_samples == 2000 and 0 < q.error.value < 1
+
+
+def _zero_stretch():
+    # rho = max(x - 1/2, 0), zero on [0, 1/2] with no breakpoint declared
+    return ql.density1d(lambda x: np.maximum(np.asarray(x) - 0.5, 0), (0, 1))
+
+
+def test_exact_1d_sup_skips_an_undeclared_zero_stretch():
+    est = ql.error_exact_1d(_zero_stretch(), [0.75], np.inf)
+    assert est.value == 0.25 and est.method == "sup"
+
+
+@pytest.mark.parametrize("pdf, support, site, radius", [
+    (lambda x: np.exp(-50 * np.asarray(x)), (0, 1), 0.0, 1.0),
+    (lambda x: np.exp(-0.5 * np.asarray(x) ** 2), (-10, 10), -10.0, 20.0)])
+def test_exact_1d_sup_reaches_a_steep_tail(pdf, support, site, radius):
+    # the far tail cells hold less than an ulp of the running mass, but mass
+    m = ql.density1d(pdf, support)
+    assert ql.error_exact_1d(m, [site], np.inf).value == radius
+
+
+def test_exact_1d_sup_off_grid_zero_is_within_one_grid_cell():
+    # rho = max(x - 0.3, 0): 0.3 is no grid node, so the rest of its cell counts
+    m = ql.density1d(lambda x: np.maximum(np.asarray(x) - 0.3, 0), (0, 1))
+    value = ql.error_exact_1d(m, [0.65], np.inf).value
+    assert 0.35 <= value <= 0.35 + np.diff(m.law.grid).max()
+
+
+def test_exact_1d_sup_ignores_an_empty_voronoi_cell():
+    # the cell of -1 meets the support only at 0, which holds no mass
+    assert ql.error_exact_1d(ql.uniform_interval(), [-1.0, 0.5], np.inf).value == 0.5
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+@pytest.mark.parametrize("sites", [[0.118, 0.6725, 1.0464], [-0.118, 1.0271], [0.4, 0.4666]])
+def test_exact_1d_on_an_undeclared_zero_stretch_matches_split_quadrature(p, sites):
+    s = np.array(sites)
+    mids = 0.5 * (s[:-1] + s[1:])
+    cuts = sorted(c for c in (*s, *mids) if 0.5 < c < 1)
+    ref = quad(lambda x: np.min(np.abs(x - s)) ** p * 8.0 * (x - 0.5), 0.5, 1.0,
+               points=cuts or None, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    assert ql.error_exact_1d(_zero_stretch(), s, p).value == pytest.approx(
+        ref ** (1 / p), rel=1e-12)
+
+
+exact_vs_curve_laws = [
+    ql.density1d(lambda x: 2 * np.asarray(x), (0, 1)),
+    ql.piecewise_uniform([(0, 0.3), (0.55, 1)]),
+    ql.density1d(lambda x: 0.5 / np.sqrt(np.asarray(x)), (0, 1)),
+    ql.density1d(lambda x: np.where(np.asarray(x) < 0.4, 3.0, 0.5), (0, 1),
+                 breakpoints=(0.4,)),
+    _zero_stretch(),
+    ql.density1d(lambda x: np.maximum(np.asarray(x) - 0.3, 0), (0, 1)),
+    ql.density1d(lambda x: np.exp(-50 * np.asarray(x)), (0, 1)),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(0, len(exact_vs_curve_laws) - 1),
+       sites=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=5))
+def test_exact_1d_sup_agrees_with_the_curve_sup(k, sites):
+    # the same law laid along a unit segment: both sups measure the same hulls.
+    # Each rounds a Voronoi midpoint its own way, so they agree to the ulps of
+    # the coordinates, not of the (possibly much smaller) distance
+    m = exact_vs_curve_laws[k]
+    arc = ql.curve_measure(ql.segment_curve([0, 0], [1, 0]), density1d_law=m.law)
+    a = ql.error_exact_1d(m, sites, np.inf).value
+    b = ql.error_curve(arc, np.column_stack([sites, np.zeros(len(sites))]), np.inf).value
+    assert abs(a - b) <= 4 * np.spacing(max(1.0, np.abs(sites).max()))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import quantlab as ql
@@ -286,3 +288,53 @@ def test_not_sampleable_measure():
                    total_mass=1.0, sampler=None)
     with pytest.raises(ValueError, match="not sampleable"):
         ql.sample(m, 3, seed=0)
+
+
+def _step_law(b):
+    return ql.density1d(lambda x: np.where(np.asarray(x) < b, 3.0, 0.5), (0, 1),
+                        breakpoints=(b,)).law
+
+
+def _steep_tail():
+    # every cell past about 0.7 holds under an ulp of the running mass
+    return ql.density1d(lambda x: np.exp(-50 * np.asarray(x)), (0, 1)).law
+
+
+hull_laws = st.one_of(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).filter(lambda c: sum(c) > 0.1)
+    .map(lambda c: ql.density1d(lambda x, _c=np.array(c): np.polyval(_c, x), (0, 1)).law),
+    st.floats(0.1, 0.9).map(_step_law),
+    st.tuples(st.floats(0.05, 0.45), st.floats(0.55, 0.95)).map(
+        lambda ab: ql.piecewise_uniform([(0.0, ab[0]), (ab[1], 1.0)]).law),
+    # zero on [0, 1/2], whose end is a grid node though not a breakpoint
+    st.just(ql.density1d(lambda x: np.maximum(np.asarray(x) - 0.5, 0), (0, 1)).law),
+    st.just(_steep_tail()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(law=hull_laws, data=st.data())
+def test_hull_holds_exactly_the_mass_of_its_interval(law, data):
+    # ends on a 1/1000 lattice around the support or at grid nodes
+    end = st.one_of(st.integers(-250, 1250).map(lambda j: j / 1000),
+                    st.integers(0, law.grid.size - 1).map(lambda k: float(law.grid[k])))
+    pairs = np.sort(data.draw(st.lists(st.tuples(end, end), min_size=1, max_size=16),
+                              label="intervals"), axis=1)
+    ls, rs = np.clip(pairs.T, 0.0, 1.0)
+    hl, hr, has = law.hull(ls, rs)
+    # has tells positive mass by quadrature, not by cdf differences: on the
+    # steep tail a cell's mass rounds away in the cumulative sum
+    true = [quad(lambda x: float(law.pdf(np.array([x]))[0]), l, r,
+                 points=[b for b in law.breakpoints if l < b < r] or None)[0]
+            if r > l else 0.0 for l, r in zip(ls, rs)]
+    assert np.array_equal(has, np.array(true) > 0)
+    mass = law.cdf(rs) - law.cdf(ls)
+    assert np.all(mass[~has] == 0)
+    assert np.all((ls[has] <= hl[has]) & (hl[has] <= hr[has]) & (hr[has] <= rs[has]))
+    assert np.array_equal(law.cdf(hr[has]) - law.cdf(hl[has]), mass[has])
+
+
+def test_hull_keeps_tail_cells_whose_mass_rounds_away_in_the_cdf():
+    law = _steep_tail()
+    assert law.cdf(0.9) == law.cdf(0.8)
+    hl, hr, has = law.hull(np.array([0.8, 0.5]), np.array([0.9, 1.5]))
+    assert has.all() and np.array_equal(hl, [0.8, 0.5]) and np.array_equal(hr, [0.9, 1.0])

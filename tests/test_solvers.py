@@ -118,6 +118,18 @@ def test_solver_config_needs_a_restart():
         ql.SolverConfig(restarts=0)
 
 
+def test_solver_config_rejects_an_empty_working_sample():
+    # working_sample=0 silently ran the 1e5-point default
+    with pytest.raises(ValueError, match="working_sample"):
+        ql.SolverConfig(working_sample=0)
+
+
+def test_solver_config_rejects_too_few_evaluation_samples():
+    # the error surfaced from error_mc only after the whole Lloyd run
+    with pytest.raises(ValueError, match="eval_samples"):
+        ql.SolverConfig(eval_samples=99)
+
+
 def test_lloyd_uniform_single_point():
     m = ql.uniform_interval()
     q = ql.lloyd(m, 1, 2, CFG, seed=3)
