@@ -173,12 +173,13 @@ class Law1D:
     def sample(self, rng: np.random.Generator, n: int):
         return self.ppf(rng.uniform(0.0, self.mass, size=n))
 
-    def ball_mass(self, x: float, r: float) -> float:
-        """Mass of the open interval (x - r, x + r) within the support."""
-        if r <= 0:
-            return 0.0
-        lo, hi = self.cdf(np.array([x - r, x + r]))
-        return float(hi - lo)
+    def ball_mass(self, x: float, r):
+        """Mass of the open interval (x - r, x + r) within the support, for a
+        float r (a float back) or an array of radii; r <= 0 gives 0."""
+        r = np.asarray(r, dtype=float)
+        lo, hi = self.cdf(np.stack([x - r, x + r]))
+        out = np.where(r > 0, hi - lo, 0.0)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

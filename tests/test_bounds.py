@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
+from scipy.integrate import quad
 
 import quantlab as ql
+from quantlab import bounds
 
 
 def test_density_bound_constants_p2_s1():
@@ -101,6 +104,112 @@ def test_rand_quant_integrand_closed_form_family():
 def test_rand_quant_integrand_heavy_tail_error():
     with pytest.raises(ValueError, match="heavy tail"):
         ql.rand_quant_integrand(lambda r: 0.5, 2, 1.0, 10, r_max=100.0)
+
+
+def _closed_form_F(law, x, p, N):
+    """F(x) at s = 1 on [0, 1] from regularized incomplete beta functions.
+
+    Below a = min(x, 1 - x) the survival 1 - nu(B_r(x)) is 1 - k r (k = 2 on
+    the uniform law, 4x on 2x); above it, up to b = max(x, 1 - x), it is
+    1 - a - r (uniform), (x - r)^2 (2x, x >= 1/2) or 1 - (x + r)^2 (2x,
+    x < 1/2, closed here for integer p or x = 0), and 0 beyond b.
+    """
+    a, b = min(x, 1 - x), max(x, 1 - x)
+    B = lambda q, M, lo: special.beta(q, M + 1) * special.betaincc(q, M + 1, lo)
+    if law == "uniform":
+        inner = 2.0 ** -p * (special.beta(p, N + 1) - B(p, N, 2 * a))
+        outer = b ** (N + p) * B(p, N, a / b)
+    else:
+        inner = 0.0 if x == 0 else (4 * x) ** -p * (special.beta(p, N + 1)
+                                                    - B(p, N, 4 * x * a))
+        if x >= 0.5:
+            outer = x ** (2 * N + p) * B(p, 2 * N, a / x)
+        else:  # (u - x)^(p-1) expanded, u = x + r; int (1-u^2)^N u^k du by v = u^2
+            js = range(int(p)) if p == int(p) else [0]
+            assert p == int(p) or x == 0
+            outer = sum(special.binom(p - 1, j) * (-x) ** j
+                        * 0.5 * B((p - j) / 2, N, 4 * x * x) for j in js)
+    return p * N ** p * (inner + outer)
+
+
+def test_rand_quant_integrand_matches_closed_forms_with_the_kink_radii():
+    laws = {"uniform": ql.uniform_interval(),
+            "2x": ql.density1d(lambda x: 2 * x, (0, 1))}
+    rng = np.random.default_rng(11)
+    for name, m in laws.items():
+        for p, tol in ((1, 1e-12), (2, 1e-12), (3, 1e-12), (1.5, 1e-9)):
+            xs = [0.0, 0.5, 1.0] + list(rng.uniform(0.0, 1.0, 4))
+            if name == "2x" and p != int(p):
+                xs = [0.0, 0.5, 1.0] + list(rng.uniform(0.5, 1.0, 4))
+            for x, N in itertools.product(xs, (1, 4, 16, 100)):
+                F = ql.rand_quant_integrand(ql.measure_ball_fn(m, [x]), p, 1.0, N,
+                                            breakpoints=np.abs(x - m.law.breakpoints))
+                expect = _closed_form_F(name, x, p, N)
+                assert F == pytest.approx(expect, rel=tol), (name, p, x, N)
+
+
+def test_rand_quant_integrand_takes_no_quad_between_the_kink_radii(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bounds, "quad", lambda *a, **k: calls.append(a) or quad(*a, **k))
+    m = ql.density1d(lambda x: 2 * x, (0, 1))
+    for x in [0.0, 0.5, 1.0] + list(np.random.default_rng(12).uniform(0.0, 1.0, 20)):
+        ball = ql.measure_ball_fn(m, [x])
+        F = ql.rand_quant_integrand(ball, 3, 1.0, 16,
+                                    breakpoints=np.abs(x - m.law.breakpoints))
+        assert not calls, x
+        # without the kink radii, a kink past a piece's outermost nodes is seen
+        # by neither rule (nor by quad): up to 5.3e-8 over 2100 points of 2x
+        assert ql.rand_quant_integrand(ball, 3, 1.0, 16) == pytest.approx(F, abs=1e-7)
+        calls.clear()
+    with pytest.raises(ValueError, match="heavy tail"):
+        ql.rand_quant_integrand(lambda r: 0.5, 3, 1.0, 16)
+
+
+def test_rand_quant_integrand_on_the_unit_square_matches_split_quadrature():
+    m = ql.uniform_box([0, 0], [1, 1])
+    points = [(0.5, 0.5), (0.1, 0.3), (0.0, 0.0), (0.9, 0.05)]
+    for x, N in itertools.product(points, (4, 16)):
+        ball = lambda r: m.ball_measure(x, r)
+        # the disk meets a side or a corner of the square at these radii
+        sides = [x[0], 1 - x[0], x[1], 1 - x[1]]
+        corners = [math.hypot(cx - x[0], cy - x[1]) for cx in (0, 1) for cy in (0, 1)]
+        cuts = sorted({0.0, *sides, *corners})
+        ref = sum(quad(lambda r: (1 - ball(r)) ** N * r, lo, hi,
+                       epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                  for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo)
+        F = ql.rand_quant_integrand(ql.measure_ball_fn(m, x), 2, 2.0, N)
+        assert F == pytest.approx(2 * N * ref, rel=1e-9, abs=1e-9), (x, N)
+
+
+def test_rand_quant_integrand_at_the_centre_of_a_decaying_mixture():
+    mix = ql.decaying_mixture(ql.lebesgue_halfline(), 0.0, alpha=2.0, beta=9.0, R0=1.0)
+    ball = lambda r: mix.measure.ball_measure([0.0], r)
+    cuts = [0.0] + sorted({a[1] for a in mix.annuli if a[1] < 1e4})
+    ref = sum(quad(lambda r: (1 - ball(r)) ** 4 * r, lo, hi, epsabs=1e-15,
+                   epsrel=1e-13, limit=200)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
+    F = ql.rand_quant_integrand(ql.measure_ball_fn(mix.measure, [0.0]), 2, 1.0, 4)
+    assert F == pytest.approx(2 * 4 ** 2 * ref, rel=1e-9)
+
+
+def test_rand_quant_bound_passes_the_kink_radii_of_a_law():
+    # a one-point mu makes the bound F(x) itself; without the kink radii, quad
+    # stepped over them and the bound was 2.7e-7 (uniform) and 1.3e-8 (2x) off
+    uni, lin = ql.uniform_interval(), ql.density1d(lambda x: 2 * x, (0, 1))
+    for name, m, x, p, N in (("uniform", uni, 0.0003006901069229073, 2, 1),
+                             ("2x", lin, 0.7966391827460546, 3, 16)):
+        one = ql.empirical([[x]])
+        rep = ql.rand_quant_bound(one, m, p, 1.0, N, n_mc=2, empirical=0.0)
+        assert rep.value == pytest.approx(_closed_form_F(name, x, p, N), rel=1e-12)
+
+
+def test_measure_ball_fn_rejects_a_point_of_another_dimension():
+    # these once read the first coordinates and returned a ball of the wrong point
+    with pytest.raises(ValueError, match="coordinates"):
+        ql.measure_ball_fn(ql.uniform_interval(), [0.2, 0.9])
+    with pytest.raises(ValueError, match="coordinates"):
+        ql.measure_ball_fn(ql.uniform_box([0, 0], [1, 1]), [0.5, 0.5, 0.5])
+    ball = ql.measure_ball_fn(ql.uniform_interval(), 0.2)
+    assert ball(np.array([0.1, 0.3])) == pytest.approx([0.2, 0.5])
 
 
 def test_rand_quant_bound_uniform():

@@ -257,6 +257,23 @@ def test_ball_measure_monotone_and_bounded():
     assert all(0 <= v <= m.total_mass + 1e-12 for v in vals)
 
 
+def test_ball_mass_over_an_array_of_radii_matches_the_scalar_loop():
+    rs = np.concatenate([[-0.5, -1e-300, 0.0, 0.3, 0.6, 2.0],
+                         np.random.default_rng(3).uniform(0.0, 1.5, 200)])
+    for law in (ql.density1d(lambda x: 2 * x, (0, 1)).law,
+                ql.piecewise_uniform([(0, 0.3), (0.6, 1)]).law):
+        for x in (0.0, 0.45, 0.8, 1.2):
+            # the scalar loop: one cdf pass over both ends per radius
+            loop = np.array([np.diff(law.cdf(np.array([x - r, x + r])))[0]
+                             if r > 0 else 0.0 for r in rs])
+            assert all(law.ball_mass(x, float(r)) == v for r, v in zip(rs, loop))
+            assert all(type(law.ball_mass(x, float(r))) is float for r in rs[:6])
+            assert np.array_equal(law.ball_mass(x, rs), loop)
+            grid = rs.reshape(2, -1)
+            assert np.array_equal(law.ball_mass(x, grid), loop.reshape(grid.shape))
+            assert np.all(loop[:3] == 0.0) and np.all(loop[3:] >= 0.0)
+
+
 def test_disk_box_area_against_mc():
     from quantlab.measures import disk_box_area
 
