@@ -98,19 +98,24 @@ class Law1D:
         fx = np.asarray(self.pdf(x), dtype=float)
         return fx if fx.shape == x.shape else np.broadcast_to(fx, x.shape)
 
-    def _integrate(self, l, r, g=None):
+    def _integrate(self, l, r, g=None, a=None):
         """16-node Gauss-Legendre integrals of g(x) rho(x) over each piece
         [l, r] (of rho alone if g is None), and rho at the nodes.
 
         g may return a tuple of integrands, whose integrals are then stacked
-        along a new leading axis. A piece of zero width adds exactly 0: rho's
-        value there, which may be infinite, never enters a sum.
+        along a new leading axis. Given a (broadcast against l), g reads x - a
+        instead, formed from l - a and r - a, so a node near a does not lose
+        the digits of a to cancellation. A piece of zero width adds exactly 0:
+        rho's value there, which may be infinite, never enters a sum.
         """
         half = 0.5 * (r - l)
-        x = (0.5 * (r + l))[..., None] + half[..., None] * _GL_NODES
+        offset = half[..., None] * _GL_NODES
+        x = (0.5 * (r + l))[..., None] + offset
         with np.errstate(divide="ignore", invalid="ignore"):
             fx = self._rho(x)
             wf = _GL_WEIGHTS * fx
+            if g is not None and a is not None:
+                x = np.add(offset, (0.5 * ((l - a) + (r - a)))[..., None], out=offset)
             gx = 1.0 if g is None else g(x)
             s = (np.stack([(wf * gi).sum(axis=-1) for gi in gx]) if isinstance(gx, tuple)
                  else (wf * gx).sum(axis=-1))
@@ -155,8 +160,8 @@ class Law1D:
         if self.breakpoints.size > 2:
             inner = np.clip(self.breakpoints[1:-1], ls[..., None], rs[..., None])
             edges = np.sort(np.concatenate([edges, inner], axis=-1), axis=-1)
-        return self._integrate(edges[..., :-1], edges[..., 1:],
-                               lambda x: f(x - a[..., None, None]))[0].sum(axis=-1)
+        return self._integrate(edges[..., :-1], edges[..., 1:], f,
+                               a[..., None])[0].sum(axis=-1)
 
     def ppf(self, u):
         """Quantile on [0, mass]: affine if constant, else grid inverse + Newton."""

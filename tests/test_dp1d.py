@@ -208,9 +208,9 @@ def bisect_centers(law, p, ls, rs):
 @given(m=st.one_of(densities, st.builds(_step_density)),
        p=st.sampled_from([1.25, 1.5, 2.5, 3.0, 4.0]), G=st.integers(8, 96), data=st.data())
 def test_newton_centers_match_bisection(m, p, G, data):
-    # cells of a DP grid, as the oracle meets them: on a cell far narrower
-    # than its distance from 0, one ulp of centre moves the quadrature of the
-    # cost by about p ulp(a) / width relative, whichever centre is right
+    # cells of a DP grid, as the oracle meets them. The cost reads x - a from
+    # the piece ends, not from x, so a few ulps of centre move it only to
+    # second order, also on a cell far narrower than its distance from 0
     law = m.law
     pairs = data.draw(st.lists(st.tuples(st.integers(0, G), st.integers(0, G)).filter(
         lambda ij: ij[0] < ij[1]), min_size=1, max_size=24), label="cells")
