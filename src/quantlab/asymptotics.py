@@ -10,12 +10,12 @@ and the per-entry provenance records which solver produced each value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .error import check_order, error_mc
+from .error import check_order
 from .measures import Measure, derive_seed, restrict, sample
 from .solvers import (Dp1dSolver, SolverConfig, auto_solver,
                       cantor_covering_radius, lloyd)

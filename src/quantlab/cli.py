@@ -25,7 +25,7 @@ from .asymptotics import (coeff_sequence, estimate_coefficients, make_series,
                           spatial_histogram, zador_prediction)
 from .bounds import conc_lower_bound, conc_upper_bound, sandwich_check
 from .error import error_eval
-from .measures import (Curve, IfsSpec, Law1D, curve_measure, density1d,
+from .measures import (Curve, IfsSpec, curve_measure, density1d,
                        derive_seed, empirical, hausdorff_curve_measure,
                        ifs_measure, quarter_circle, sample, uniform_box)
 from .solvers import (SolverConfig, auto_solver, cantor_covering_radius,

@@ -48,11 +48,10 @@ class Law1D:
 
     Carries cumulative moments of orders 0..2 on a fine grid (piecewise
     Gauss-Legendre, so smooth densities are resolved to machine precision),
-    plus declared breakpoints where the density may jump, and `piece_mass`,
-    the mass between consecutive breakpoints. In every integral a piece of
-    zero width adds exactly 0 (`_integrate`), so the density may be infinite
-    at a breakpoint or an end. `hull` decides where the law holds mass, at
-    the grid's resolution. `constant` is the density's value when it is
+    plus declared breakpoints where the density may jump. In every integral a
+    piece of zero width adds exactly 0 (`_integrate`), so the density may be
+    infinite at a breakpoint or an end. `hull` decides where the law holds
+    mass, at the grid's resolution. `constant` is the density's value when it is
     equal at every quadrature node of the grid, else None; a constant law
     takes closed-form cell costs in the DP and an affine quantile.
     """
@@ -84,7 +83,8 @@ class Law1D:
         self.mass = float(self._cum[0, -1])
         if self.mass <= 0:
             raise ValueError("density integrates to zero")
-        self.piece_mass = np.diff(self.cdf(self.breakpoints))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._infinite_end = np.isinf(self._rho(np.array([self.lo, self.hi])))
         # per cell: first live cell at or after it (or the count), last at or before
         # (or -1). Liveness reads each cell's own mass: a tail cell's mass may
         # round away in the cumulative sum
@@ -164,16 +164,29 @@ class Law1D:
                                a[..., None])[0].sum(axis=-1)
 
     def ppf(self, u):
-        """Quantile on [0, mass]: affine if constant, else grid inverse + Newton."""
+        """Quantile on [0, mass]: affine if constant, else grid inverse + Newton, but
+        bisection on cdf in a grid cell at an end where rho is infinite (Newton stops there)."""
         u = np.clip(np.asarray(u, dtype=float), 0.0, self.mass)
         if self.constant is not None:
             return np.minimum(self.lo + u / self.constant, self.hi)
-        t = np.interp(u, self._cum[0], self.grid)
+        shape, u = u.shape, np.atleast_1d(u)
+        c, g = self._cum[0], self.grid
+        at_lo = (u <= c[1]) & self._infinite_end[0]
+        end = at_lo | (u >= c[-2]) & self._infinite_end[1]
+        t = np.interp(u, c, g)
+        tn, un = t[~end], u[~end]
         for _ in range(2):
-            ft = self._rho(np.atleast_1d(t)).reshape(np.shape(t))
-            step = (self.cdf(t) - u) / np.maximum(ft, 1e-12)
-            t = np.clip(t - step, self.lo, self.hi)
-        return t
+            step = (self.cdf(tn) - un) / np.maximum(self._rho(tn), 1e-12)
+            tn = np.clip(tn - step, self.lo, self.hi)
+        t[~end] = tn
+        if np.any(end):
+            # cdf(a) < u <= cdf(b) until a and b are adjacent floats
+            a, b, ue = np.where(at_lo, g[0], g[-2])[end], np.where(at_lo, g[1], g[-1])[end], u[end]
+            while np.any(((m := 0.5 * (a + b)) > a) & (m < b)):
+                past = self.cdf(m) >= ue
+                a, b = np.where(past, a, m), np.where(past, m, b)
+            t[end] = m
+        return t.reshape(shape)[()]
 
     def sample(self, rng: np.random.Generator, n: int):
         return self.ppf(rng.uniform(0.0, self.mass, size=n))

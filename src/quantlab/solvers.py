@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from .error import INF, ErrorEstimate, check_order, error_eval, error_exact_1d
 from .measures import (Law1D, Measure, cantor_cylinders, derive_seed,
                        piecewise_uniform, sample)
-from .spatial import PointCloud, _as_points
+from .spatial import PointCloud
 
 
 @dataclass
@@ -136,56 +136,12 @@ def _weiszfeld(points, weights, tol=1e-10, max_iter=10000):
     return y
 
 
-def _circumcircle(a, b, c):
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if abs(d) < 1e-14 * max(1.0, np.abs([a, b, c]).max() ** 2):
-        return None
-    ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])) / d
-    uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])) / d
-    return np.array([ux, uy])
-
-
-def _miniball_2d(points, rng):
-    """Exact minimum enclosing circle (randomized incremental)."""
-    P = points[rng.permutation(len(points))]
-    eps = 1e-12 * (1.0 + np.abs(P).max())
-    c, r = P[0].copy(), 0.0
-    for i in range(1, len(P)):
-        if np.linalg.norm(P[i] - c) <= r + eps:
-            continue
-        c, r = P[i].copy(), 0.0
-        for j in range(i):
-            if np.linalg.norm(P[j] - c) <= r + eps:
-                continue
-            c = 0.5 * (P[i] + P[j])
-            r = np.linalg.norm(P[i] - c)
-            for k in range(j):
-                if np.linalg.norm(P[k] - c) <= r + eps:
-                    continue
-                c = _circumcircle(P[i], P[j], P[k])
-                if c is None:
-                    # collinear triple: the diameter pair encloses all three
-                    u, v = max(((P[i], P[j]), (P[i], P[k]), (P[j], P[k])),
-                               key=lambda uv: np.linalg.norm(uv[0] - uv[1]))
-                    c = 0.5 * (u + v)
-                r = np.linalg.norm(P[i] - c)
-    return c
-
-
-def _badoiu_clarkson(points, iters=4000):
-    c = points.mean(axis=0)
-    for k in range(1, iters + 1):
-        far = points[np.argmax(np.linalg.norm(points - c, axis=1))]
-        c = c + (far - c) / (k + 1.0)
-    return c
-
-
 def cell_center(points, weights=None, p=2.0) -> np.ndarray:
     """argmin_a of the weighted p-th moment of a cell around a.
 
     p=2 weighted mean (exact); p=1 geometric median (exact in 1D, Weiszfeld
-    with vertex handling otherwise); other finite p coordinate-wise descent;
-    p=inf minimum enclosing ball (exact in 1D/2D, iterative in higher d).
+    with vertex handling otherwise); other finite p coordinate-wise descent.
+    p=inf raises ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
@@ -195,11 +151,7 @@ def cell_center(points, weights=None, p=2.0) -> np.ndarray:
     p = check_order(p)
 
     if math.isinf(p):
-        if d == 1:
-            return np.array([0.5 * (pts.min() + pts.max())])
-        if d == 2:
-            return _miniball_2d(pts, np.random.default_rng(0))
-        return _badoiu_clarkson(pts)
+        raise ValueError("cell_center handles finite p only")
     if p == 2.0:
         return np.average(pts, axis=0, weights=w)
     if p == 1.0:

@@ -78,16 +78,9 @@ class SpatialIndex:
         self._tree = cKDTree(cloud.points)
 
     def nearest(self, x):
-        """Distance and index of the nearest point; lowest index on ties."""
-        x = np.asarray(x, dtype=float).ravel()
-        dist, idx = self._tree.query(x)
-        # resolve potential ties in favor of the lowest index
-        tied = self._tree.query_ball_point(x, dist * (1 + 1e-12) + 1e-300)
-        if len(tied) > 1:
-            cand = np.array(sorted(tied))
-            dd = np.linalg.norm(self.cloud.points[cand] - x, axis=1)
-            best = cand[dd <= dd.min()][0]
-            return float(np.linalg.norm(self.cloud.points[best] - x)), int(best)
+        """Distance and index of the nearest point: the k-d tree's k = 1
+        answer, which on a tie may be any of the tied points."""
+        dist, idx = self._tree.query(np.asarray(x, dtype=float).ravel())
         return float(dist), int(idx)
 
     def nearest_distances(self, X) -> np.ndarray:
@@ -112,26 +105,16 @@ class SpatialIndex:
 def voronoi_assign(S, cloud: PointCloud) -> np.ndarray:
     """Index of the nearest site in S for every cloud point.
 
-    Ties are broken toward the lowest site index, so the induced partition
-    cells are genuine subsets of the closed Voronoi cells.
+    This is the k-d tree's k = 1 answer, the rule Lloyd uses: a point
+    equidistant from several sites goes to one of them, which need not be
+    the lowest index, so each cell is a subset of its closed Voronoi cell.
     """
     S = _as_points(S, d=cloud.d)
     if S.shape[0] == 0:
         raise ValueError("empty site list")
     if S.shape[1] != cloud.d:
         raise ValueError(f"site dimension {S.shape[1]} != cloud dimension {cloud.d}")
-    tree = cKDTree(S)
-    dist, idx = tree.query(cloud.points, k=min(2, S.shape[0]))
-    if S.shape[0] == 1:
-        return np.zeros(cloud.n, dtype=int)
-    d1, d2 = dist[:, 0], dist[:, 1]
-    assign = idx[:, 0].astype(int)
-    # near-ties get an exact brute-force recheck with first-minimum argmin
-    sus = np.nonzero(d2 - d1 <= 1e-12 * (1.0 + d1))[0]
-    for i in sus:
-        dd = np.linalg.norm(S - cloud.points[i], axis=1)
-        assign[i] = int(np.argmin(dd))
-    return assign
+    return cKDTree(S).query(cloud.points)[1]
 
 
 def omega(s: float) -> float:

@@ -228,7 +228,29 @@ def test_law_with_a_density_infinite_at_an_end():
     law = ql.density1d(lambda x: 0.5 / np.sqrt(x), (0, 1)).law
     assert law.cdf(0.0) == 0.0
     assert np.array_equal(law.moments(0.0), [0.0, 0.0, 0.0])
-    assert np.all(np.isfinite(law.piece_mass)) and law.piece_mass.sum() > 0
+    piece_mass = np.diff(law.cdf(law.breakpoints))
+    assert np.all(np.isfinite(piece_mass)) and piece_mass.sum() > 0
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["at-lo", "at-hi"])
+def test_ppf_leaves_an_end_where_the_density_is_infinite(left):
+    # a Newton step in the end grid cell can land on the end, where rho is
+    # infinite and every further step is 0; ppf bisects on cdf in that cell
+    pdf = (lambda x: 0.5 / np.sqrt(x)) if left else (lambda x: 0.5 / np.sqrt(1 - x))
+    m = ql.density1d(pdf, (0, 1))
+    law, end = m.law, 0.0 if left else 1.0
+    assert not np.any(ql.sample(m, 100000, seed=1).points == end)
+    u = np.sort(np.random.default_rng(2).uniform(0.0, law.mass, 20000))
+    assert np.all(np.diff(law.ppf(u)) >= 0)
+    if left:
+        assert np.all(law.ppf([1e-4, 1e-3, 2e-3]) > 0)
+        u = np.geomspace(1e-12, law.cdf(law.grid[1]), 2000)
+        assert np.max(np.abs(law.cdf(law.ppf(u)) / u - 1)) <= 1e-12
+    else:
+        # floats near 1 cannot resolve the steep cdf there: ask for order only
+        u = np.linspace(law.cdf(law.grid[-2]), law.mass, 2000, endpoint=False)
+        t = law.ppf(u)
+        assert np.all(np.diff(t) >= 0) and not np.any(t == end)
 
 
 def test_moments_read_the_density_once():

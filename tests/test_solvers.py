@@ -93,16 +93,9 @@ def test_cell_center_beats_perturbations():
                 assert base <= obj(y) + 1e-10
 
 
-def test_cell_center_minimum_enclosing_ball():
-    assert ql.cell_center([[0.0], [1.0]], None, np.inf)[0] == pytest.approx(0.5)
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(size=(40, 2))
-    c = ql.cell_center(pts, None, np.inf)
-    r = np.linalg.norm(pts - c, axis=1).max()
-    # oracle: no random center gives a smaller enclosing radius
-    for _ in range(500):
-        y = c + rng.normal(scale=1e-3, size=2)
-        assert r <= np.linalg.norm(pts - y, axis=1).max() + 1e-9
+def test_cell_center_rejects_infinite_p():
+    with pytest.raises(ValueError, match="finite p"):
+        ql.cell_center([[0.0], [1.0]], None, np.inf)
 
 
 # ---------------------------------------------------------------------------

