@@ -268,6 +268,7 @@ def quantizability_probe(m: Measure, p, s: float, mass_fractions,
     rows = []
     base_cloud = sample(m, 4096, derive_seed(seed, "probe-base"))
     x0 = base_cloud.points.mean(axis=0)
+    c0 = x0.tolist()  # Python floats: math.dist then converts no numpy scalars
     dists = np.linalg.norm(base_cloud.points - x0, axis=1)
     cfg = cfg or SolverConfig(restarts=3, max_iters=80)
     for frac in mass_fractions:
@@ -277,7 +278,7 @@ def quantizability_probe(m: Measure, p, s: float, mass_fractions,
             sub = m
         else:
             r_cut = float(np.quantile(dists, 1.0 - frac))
-            sub = restrict(m, lambda x, _r=r_cut: math.dist(x, x0) >= _r)
+            sub = restrict(m, lambda x, _r=r_cut: math.dist(x.tolist(), c0) >= _r)
         errs = []
         for n in budgets:
             q = lloyd(sub, n, p, cfg=cfg, seed=derive_seed(seed, "probe", frac, n))

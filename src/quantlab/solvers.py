@@ -69,14 +69,37 @@ class Quantizer:
 # ---------------------------------------------------------------------------
 # seeding
 
+def _sq_dist(cols, S, idx=None):
+    """|w_i - S[idx_i]|^2, or |w_i - S|^2 to the one site S when idx is None,
+    where cols[k] holds coordinate k of every w_i (cols = W.T, contiguous).
+
+    Summed one column at a time in place, with no (n, d) temporary: bit for
+    bit numpy's row sum of squares for d <= 7. From d = 8 on numpy's pairwise
+    sum unrolls by 8, and the two may differ in the last ulp.
+    """
+    acc = None
+    for k, c in enumerate(cols):
+        t = c - (S[k] if idx is None else S[:, k].take(idx))
+        t *= t
+        acc = t if acc is None else np.add(acc, t, out=acc)
+    return acc
+
+
+def _dist(cols, S, idx=None):
+    """Distances |w_i - S[idx_i]| (or |w_i - S|), as `_sq_dist`."""
+    d = _sq_dist(cols, S, idx)
+    return np.sqrt(d, out=d)
+
+
 def _seed_pp(points, weights, N, rng):
     n = points.shape[0]
     if N > n:
         raise ValueError("budget exceeds number of points")
+    cols = np.ascontiguousarray(points.T)
     probs = weights / weights.sum()
     chosen = np.empty(N, dtype=int)
     chosen[0] = rng.choice(n, p=probs)
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    d2 = _sq_dist(cols, points[chosen[0]])
     for k in range(1, N):
         d2[chosen[:k]] = 0.0
         score = weights * d2
@@ -86,7 +109,7 @@ def _seed_pp(points, weights, N, rng):
             chosen[k] = rng.choice(remaining)
         else:
             chosen[k] = rng.choice(n, p=score / total)
-        d2 = np.minimum(d2, np.sum((points - points[chosen[k]]) ** 2, axis=1))
+        np.minimum(d2, _sq_dist(cols, points[chosen[k]]), out=d2)
     return points[chosen].copy()
 
 
@@ -205,7 +228,7 @@ def _centers_update(W, assign, S, p, dist):
         for k in empties:
             far = int(np.argmax(dcur))
             S_new[k] = W[far]
-            dcur = np.minimum(dcur, np.linalg.norm(W - W[far], axis=1))
+            np.minimum(dcur, _dist(W.T, W[far]), out=dcur)
     return S_new, reseeded
 
 
@@ -230,12 +253,13 @@ def _lloyd_restart(W, S, p, cfg):
     number of points queried before each history entry.
     """
     n = len(W)
+    cols = np.ascontiguousarray(W.T)
     assign = np.zeros(n, dtype=np.intp)
     lower = np.zeros(n)  # no bound yet: the first pass queries every point
     v_hist, requeried = [], []
     converged = False
     for _ in range(cfg.max_iters):
-        dist = np.linalg.norm(W - S[assign], axis=1)
+        dist = _dist(cols, S, assign)
         stale = np.nonzero(~(dist < lower * (1.0 - 1e-12)))[0]
         if len(stale):
             tree = cKDTree(S)
@@ -246,7 +270,7 @@ def _lloyd_restart(W, S, p, cfg):
             assign[stale] = i2[:, 0]
             lower[stale] = d2[:, 1]
             # every distance from numpy, so V does not depend on who queried
-            dist[stale] = np.linalg.norm(W[stale] - S[assign[stale]], axis=1)
+            dist[stale] = _dist(cols[:, stale], S, assign[stale])
         requeried.append(len(stale))
         V = float(np.mean(dist ** p))
         v_hist.append(V)
@@ -262,7 +286,8 @@ def _lloyd_restart(W, S, p, cfg):
         # errors of the tree's second distance and of dist scale with that
         # distance, at most lower + the shifts taken off it, which the two
         # 1e-12 slacks (here and in the keep test) cover.
-        lower = np.nextafter(lower - _other_max(shift)[assign] * (1.0 + 1e-12), -np.inf)
+        lower -= (_other_max(shift) * (1.0 + 1e-12))[assign]
+        np.nextafter(lower, -np.inf, out=lower)
         S = S_new
     return S, v_hist, converged, requeried
 
@@ -642,11 +667,12 @@ def farthest_point_cover(A: PointCloud, N: int, seed=0) -> Quantizer:
     rng = np.random.default_rng(seed)
     first = int(rng.integers(A.n))
     centers = [first]
-    dist = np.linalg.norm(A.points - A.points[first], axis=1)
+    cols = np.ascontiguousarray(A.points.T)
+    dist = _dist(cols, A.points[first])
     while len(centers) < min(N, A.n):
         far = int(np.argmax(dist))
         centers.append(far)
-        dist = np.minimum(dist, np.linalg.norm(A.points - A.points[far], axis=1))
+        np.minimum(dist, _dist(cols, A.points[far]), out=dist)
     pts = A.points[np.array(centers)]
     radius = float(dist.max())
     err = ErrorEstimate(radius, 0.0, 0, "sup")

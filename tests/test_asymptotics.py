@@ -221,6 +221,34 @@ def test_quantizability_probe_uniform():
     assert vals[1] / vals[0] == pytest.approx(expect_ratio, rel=0.15)
 
 
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_quantizability_probe_predicate_matches_math_dist(monkeypatch, dim):
+    m = ql.uniform_interval() if dim == 1 else ql.uniform_box([0, 0], [1, 1])
+    preds = []
+
+    def capture(measure, predicate):
+        preds.append(predicate)
+        raise _Captured
+
+    monkeypatch.setattr("quantlab.asymptotics.restrict", capture)
+    with pytest.raises(_Captured):
+        ql.quantizability_probe(m, 2, 1.0, [0.5], seed=3)
+    pred = preds[0]
+    # the probe's base point and radius, rebuilt from its own draws
+    base = ql.sample(m, 4096, ql.derive_seed(3, "probe-base")).points
+    x0 = base.mean(axis=0)
+    r = float(np.quantile(np.linalg.norm(base - x0, axis=1), 0.5))
+    draws = ql.sample(m, 10 ** 4, 7).points
+    # points at distance r exactly, up to rounding, on both sides
+    edge = x0 + r * np.eye(dim)[0] * np.array([[1.0], [-1.0]])
+    pts = np.vstack([draws, edge, np.nextafter(edge, 0.5), np.nextafter(edge, -0.5)])
+    assert [bool(pred(x)) for x in pts] == [math.dist(x, x0) >= r for x in pts]
+
+
 def test_coeff_sequence_gap_flag_on_solver_failure():
     # a budget larger than the working sample makes lloyd fail for that entry
     m = ql.uniform_box([0, 0], [1, 1])

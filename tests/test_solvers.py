@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import quantlab as ql
-from quantlab.solvers import _centers_update, _lloyd_restart, _seed_pp
+from quantlab.solvers import _centers_update, _dist, _lloyd_restart, _seed_pp
 from quantlab.spatial import cloud_from_points
 
 
@@ -254,6 +254,62 @@ def test_bounded_lloyd_high_dimension():
     assert len(v_hist) == len(v_ref)
     assert np.allclose(v_hist, v_ref, rtol=1e-14, atol=0.0)
     assert sum(requeried) < len(W) * len(v_hist)
+
+
+# --- distances summed over coordinate columns --------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 9), N=st.integers(1, 12),
+       kind=st.sampled_from(["uniform", "lattice", "duplicated"]),
+       n=st.integers(1, 500), seed=st.integers(0, 2 ** 16))
+def test_column_distances_match_the_row_norm(d, N, kind, n, seed):
+    rng = np.random.default_rng(seed)
+    W = _working_sample(kind, n, d, rng)
+    S = _working_sample(kind, N, d, rng)
+    idx = rng.integers(0, N, size=n)
+    cols = np.ascontiguousarray(W.T)
+    ref = np.linalg.norm(W - S[idx], axis=1)
+    one = np.linalg.norm(W - S[0], axis=1)
+    if d <= 7:
+        assert np.array_equal(_dist(cols, S, idx), ref)
+        assert np.array_equal(_dist(cols, S[0]), one)
+    else:  # numpy's row sum unrolls by 8: the last ulps may differ
+        ulp = np.spacing(np.maximum(ref, np.finfo(float).tiny))
+        assert np.all(np.abs(_dist(cols, S, idx) - ref) <= 4 * ulp)
+        ulp = np.spacing(np.maximum(one, np.finfo(float).tiny))
+        assert np.all(np.abs(_dist(cols, S[0]) - one) <= 4 * ulp)
+
+
+def _seed_pp_rows(points, weights, N, rng):
+    """k-means++ seeding with squared distances as row sums of (W - c)**2."""
+    n = points.shape[0]
+    probs = weights / weights.sum()
+    chosen = np.empty(N, dtype=int)
+    chosen[0] = rng.choice(n, p=probs)
+    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    for k in range(1, N):
+        d2[chosen[:k]] = 0.0
+        score = weights * d2
+        total = score.sum()
+        if total <= 0:
+            remaining = np.setdiff1d(np.arange(n), chosen[:k])
+            chosen[k] = rng.choice(remaining)
+        else:
+            chosen[k] = rng.choice(n, p=score / total)
+        d2 = np.minimum(d2, np.sum((points - points[chosen[k]]) ** 2, axis=1))
+    return points[chosen].copy()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicated"])
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_seed_pp_matches_the_row_formula(kind, d):
+    rng = np.random.default_rng(11 + d)
+    W = _working_sample(kind, 2000, d, rng)
+    w = rng.random(len(W)) + 0.5
+    for N, seed in [(1, 0), (7, 1), (40, 2), (150, 3)]:
+        got = _seed_pp(W, w, N, np.random.default_rng(seed))
+        ref = _seed_pp_rows(W, w, N, np.random.default_rng(seed))
+        assert np.array_equal(got, ref)
 
 
 def test_lloyd_reports_requeried_points():
