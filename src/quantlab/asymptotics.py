@@ -27,21 +27,24 @@ class CoeffSeries:
 
     budgets: np.ndarray
     errors: np.ndarray
-    scaled: np.ndarray
     p: float
     s: float
     provenance: tuple = ()
-    monotone: bool = True
 
     def __post_init__(self):
         N = np.asarray(self.budgets, dtype=float)
         if np.any(np.diff(N) <= 0):
             raise ValueError("budgets must be strictly increasing")
-        e = np.asarray(self.errors, dtype=float)
         object.__setattr__(self, "budgets", np.asarray(self.budgets, dtype=int))
-        object.__setattr__(self, "errors", e)
-        object.__setattr__(self, "scaled", np.asarray(self.scaled, dtype=float))
-        object.__setattr__(self, "monotone", bool(np.all(np.diff(e) <= 1e-12)))
+        object.__setattr__(self, "errors", np.asarray(self.errors, dtype=float))
+
+    @property
+    def scaled(self) -> np.ndarray:
+        return self.budgets.astype(float) ** (1.0 / self.s) * self.errors
+
+    @property
+    def monotone(self) -> bool:
+        return bool(np.all(np.diff(self.errors) <= 1e-12))
 
     def rows(self):
         return list(zip(self.budgets.tolist(), self.errors.tolist(),
@@ -49,11 +52,7 @@ class CoeffSeries:
 
 
 def make_series(budgets, errors, p, s, provenance=()) -> CoeffSeries:
-    budgets = np.asarray(budgets, dtype=int)
-    errors = np.asarray(errors, dtype=float)
-    scaled = budgets.astype(float) ** (1.0 / s) * errors
-    return CoeffSeries(budgets, errors, scaled, float(p), float(s),
-                       tuple(provenance))
+    return CoeffSeries(budgets, errors, float(p), float(s), tuple(provenance))
 
 
 def coeff_sequence(m: Measure, p, s: float, budgets, solver: str = "auto",

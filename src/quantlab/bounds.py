@@ -121,15 +121,14 @@ def packing_bound(theta: float, s: float, m: float, content: float) -> BoundRepo
 # ---------------------------------------------------------------------------
 # random quantizer bound
 
-def rand_quant_integrand(ball_fn, p, s: float, N: int, r_max: float | None = None,
-                         breakpoints=()) -> float:
+def rand_quant_integrand(ball_fn, p, s: float, N: int, breakpoints=()) -> float:
     """F(x) = p N^(p/s) int_0^rmax (1 - nu(B_r(x)))^N r^(p-1) dr.
 
     `ball_fn` maps an array of radii r (or one float r, for `quad`) to
     nu(B_r(x)); `breakpoints` are the kink radii of r -> nu(B_r(x)), |x - b|
-    over a 1D law's breakpoints b (support ends included). The cutoff is
-    chosen so (1 - nu(B_rmax))^N < 1e-14, which bounds the truncated tail by
-    rmax^p * 1e-14.
+    over a 1D law's breakpoints b (support ends included). The cutoff rmax is
+    the first of 1, 2, 4, ..., 2^79 with (1 - nu(B_rmax))^N < 1e-14, which
+    bounds the truncated tail by rmax^p * 1e-14; if none is, ValueError.
 
     [0, rmax] is cut at the breakpoints and at the halvings rmax 2^-k down to
     where N nu(B_r) < 1e-3, which resolve the O(1/N)-wide transition of
@@ -144,10 +143,10 @@ def rand_quant_integrand(ball_fn, p, s: float, N: int, r_max: float | None = Non
     if N < 1:
         raise ValueError("N must be >= 1")
 
-    rs = 2.0 ** np.arange(80) if r_max is None else np.array([float(r_max)])
+    rs = 2.0 ** np.arange(80)
     dead = np.flatnonzero((1.0 - ball_fn(rs)) ** N < 1e-14)
     if dead.size == 0:
-        raise ValueError("heavy tail, increase r_max")
+        raise ValueError("heavy tail: no cutoff radius up to 2^79")
     r_max = float(rs[dead[0]])
 
     halves = r_max * 0.5 ** np.arange(1, 61)

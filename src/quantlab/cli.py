@@ -141,7 +141,7 @@ def validate_config(cfg: dict) -> None:
     if errors:
         e = errors[0]
         path = "$" + "".join(f"[{p!r}]" for p in e.absolute_path)
-        raise ConfigError(f"{path}: {e.message}")
+        raise ConfigError(f"invalid config: {path}: {e.message}")
 
 
 def build_measure(spec: dict):
@@ -495,11 +495,6 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        validate_config(cfg)
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
     try:
         run_config(cfg, args.out, verbose=args.verbose)
     except ConfigError as exc:

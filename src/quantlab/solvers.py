@@ -71,7 +71,7 @@ class Quantizer:
 
 def _sq_dist(cols, S, idx=None):
     """|w_i - S[idx_i]|^2, or |w_i - S|^2 to the one site S when idx is None,
-    where cols[k] holds coordinate k of every w_i (cols = W.T, contiguous).
+    where cols[k] holds coordinate k of every w_i (cols: (d, n), contiguous).
 
     Summed one column at a time in place, with no (n, d) temporary: bit for
     bit numpy's row sum of squares for d <= 7. From d = 8 on numpy's pairwise
@@ -91,17 +91,16 @@ def _dist(cols, S, idx=None):
     return np.sqrt(d, out=d)
 
 
-def _seed_pp(points, weights, N, rng):
-    n = points.shape[0]
+def _seed_pp(cols, weights, N, rng):
+    """k-means++ seeding on the sample's coordinate columns `cols` (d, n)."""
+    n = cols.shape[1]
     if N > n:
         raise ValueError("budget exceeds number of points")
-    cols = np.ascontiguousarray(points.T)
     probs = weights / weights.sum()
     chosen = np.empty(N, dtype=int)
     chosen[0] = rng.choice(n, p=probs)
-    d2 = _sq_dist(cols, points[chosen[0]])
+    d2 = _sq_dist(cols, cols[:, chosen[0]])
     for k in range(1, N):
-        d2[chosen[:k]] = 0.0
         score = weights * d2
         total = score.sum()
         if total <= 0:
@@ -109,14 +108,24 @@ def _seed_pp(points, weights, N, rng):
             chosen[k] = rng.choice(remaining)
         else:
             chosen[k] = rng.choice(n, p=score / total)
-        np.minimum(d2, _sq_dist(cols, points[chosen[k]]), out=d2)
-    return points[chosen].copy()
+        np.minimum(d2, _sq_dist(cols, cols[:, chosen[k]]), out=d2)
+    return cols[:, chosen].T.copy()
+
+
+def _farthest(cols, dist, k):
+    """k farthest-point picks on `cols` (d, n): each takes the argmax of
+    `dist`, then lowers `dist` in place to at most the distance from it."""
+    picks = np.empty(k, dtype=np.intp)
+    for j in range(k):
+        picks[j] = far = int(np.argmax(dist))
+        np.minimum(dist, _dist(cols, cols[:, far]), out=dist)
+    return picks
 
 
 def seed_plusplus(cloud: PointCloud, N: int, seed) -> np.ndarray:
     """Distance-squared-proportional seeding over a weighted cloud."""
     rng = np.random.default_rng(seed)
-    return _seed_pp(cloud.points, cloud.weights, N, rng)
+    return _seed_pp(np.ascontiguousarray(cloud.points.T), cloud.weights, N, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -208,27 +217,24 @@ def cell_center(points, weights=None, p=2.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Lloyd alternation
 
-def _centers_update(W, assign, S, p, dist):
+def _centers_update(cols, assign, S, p, dist):
     """One center step with reseed-at-farthest for empty cells."""
-    N, d = S.shape
+    N = len(S)
     counts = np.bincount(assign, minlength=N)
     S_new = S.copy()
     if p == 2.0:
-        sums = np.column_stack([np.bincount(assign, weights=W[:, c], minlength=N)
-                                for c in range(d)])
+        sums = np.column_stack([np.bincount(assign, weights=c, minlength=N)
+                                for c in cols])
         ok = counts > 0
         S_new[ok] = sums[ok] / counts[ok, None]
     else:
         for k in np.nonzero(counts > 0)[0]:
-            S_new[k] = cell_center(W[assign == k], None, p)
+            # C order, so np.average sums each coordinate in sample order
+            S_new[k] = cell_center(cols[:, assign == k].T.copy(), None, p)
     empties = np.nonzero(counts == 0)[0]
     reseeded = len(empties) > 0
     if reseeded:
-        dcur = dist.copy()
-        for k in empties:
-            far = int(np.argmax(dcur))
-            S_new[k] = W[far]
-            np.minimum(dcur, _dist(W.T, W[far]), out=dcur)
+        S_new[empties] = cols[:, _farthest(cols, dist.copy(), len(empties))].T
     return S_new, reseeded
 
 
@@ -240,8 +246,8 @@ def _other_max(shift):
     return out
 
 
-def _lloyd_restart(W, S, p, cfg):
-    """Lloyd iterations from the sites S on the working sample W.
+def _lloyd_restart(cols, S, p, cfg):
+    """Lloyd iterations from the sites S on the sample's columns `cols` (d, n).
 
     Each point keeps `lower`, a lower bound on its distance to every site but
     its own (G. Hamerly, "Making k-means even faster", SDM 2010). A centre
@@ -252,8 +258,7 @@ def _lloyd_restart(W, S, p, cfg):
     query would. Returns the sites, the V_p history, convergence and the
     number of points queried before each history entry.
     """
-    n = len(W)
-    cols = np.ascontiguousarray(W.T)
+    n = cols.shape[1]
     assign = np.zeros(n, dtype=np.intp)
     lower = np.zeros(n)  # no bound yet: the first pass queries every point
     v_hist, requeried = [], []
@@ -263,14 +268,15 @@ def _lloyd_restart(W, S, p, cfg):
         stale = np.nonzero(~(dist < lower * (1.0 - 1e-12)))[0]
         if len(stale):
             tree = cKDTree(S)
-            d2, i2 = tree.query(W[stale], k=2)
+            sub = cols[:, stale]
+            d2, i2 = tree.query(sub.T, k=2)
             tie = d2[:, 0] == d2[:, 1]
             if np.any(tie):  # k=2 orders tied neighbours unlike a k=1 query
-                i2[tie, 0] = tree.query(W[stale[tie]])[1]
+                i2[tie, 0] = tree.query(sub[:, tie].T)[1]
             assign[stale] = i2[:, 0]
             lower[stale] = d2[:, 1]
             # every distance from numpy, so V does not depend on who queried
-            dist[stale] = _dist(cols[:, stale], S, assign[stale])
+            dist[stale] = _dist(sub, S, assign[stale])
         requeried.append(len(stale))
         V = float(np.mean(dist ** p))
         v_hist.append(V)
@@ -278,7 +284,7 @@ def _lloyd_restart(W, S, p, cfg):
                 and v_hist[-2] - V <= cfg.rel_tol * max(v_hist[-2], 1e-300)):
             converged = True
             break
-        S_new, _ = _centers_update(W, assign, S, p, dist)
+        S_new, _ = _centers_update(cols, assign, S, p, dist)
         shift = np.linalg.norm(S_new - S, axis=1)
         # Rounding may only lower the bound. Each shift gets a relative slack
         # of 1e-12, far above its few-ulp error, and each subtraction rounds
@@ -310,13 +316,14 @@ def lloyd(m: Measure, N: int, p, cfg: SolverConfig | None = None, seed=0) -> Qua
         raise ValueError("N must be >= 1")
     cfg = cfg or SolverConfig()
     n_work = cfg.working_sample or int(1e5 * max(1.0, m.ambient_dim / 2.0))
-    W = sample(m, n_work, derive_seed(seed, "work")).points
+    # the one layout of the working sample: coordinate columns, (d, n)
+    cols = np.ascontiguousarray(sample(m, n_work, derive_seed(seed, "work")).points.T)
 
     best = None
     for rs in range(cfg.restarts):
         rng = np.random.default_rng(derive_seed(seed, "restart", rs))
-        S = _seed_pp(W, np.full(len(W), 1.0), N, rng)
-        S, v_hist, converged, requeried = _lloyd_restart(W, S, p, cfg)
+        S = _seed_pp(cols, np.full(cols.shape[1], 1.0), N, rng)
+        S, v_hist, converged, requeried = _lloyd_restart(cols, S, p, cfg)
         key = (v_hist[-1], tuple(np.sort(S.ravel())))
         if best is None or key < best[0]:
             best = (key, S, v_hist, converged, requeried)
@@ -666,14 +673,10 @@ def farthest_point_cover(A: PointCloud, N: int, seed=0) -> Quantizer:
         raise ValueError("N must be >= 1")
     rng = np.random.default_rng(seed)
     first = int(rng.integers(A.n))
-    centers = [first]
     cols = np.ascontiguousarray(A.points.T)
-    dist = _dist(cols, A.points[first])
-    while len(centers) < min(N, A.n):
-        far = int(np.argmax(dist))
-        centers.append(far)
-        np.minimum(dist, _dist(cols, A.points[far]), out=dist)
-    pts = A.points[np.array(centers)]
+    dist = _dist(cols, cols[:, first])
+    centers = np.concatenate([[first], _farthest(cols, dist, min(N, A.n) - 1)])
+    pts = A.points[centers]
     radius = float(dist.max())
     err = ErrorEstimate(radius, 0.0, 0, "sup")
     prov = Provenance("farthest-point", seed, len(centers), True,
@@ -697,7 +700,7 @@ def cantor_covering_radius(N: int) -> float:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    k = int(math.floor(math.log2(N) + 1e-12))
+    k = int(N).bit_length() - 1
     return 3.0 ** (-k) / 2.0
 
 
@@ -705,6 +708,6 @@ def cantor_cover(N: int):
     """Optimal cover points (cylinder midpoints) and exact covering radius."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    k = int(math.floor(math.log2(N) + 1e-12))
+    k = int(N).bit_length() - 1
     pts = cantor_cylinders(k) + 3.0 ** (-k) / 2.0
     return pts.reshape(-1, 1), cantor_covering_radius(N)

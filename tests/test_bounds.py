@@ -103,7 +103,7 @@ def test_rand_quant_integrand_closed_form_family():
 
 def test_rand_quant_integrand_heavy_tail_error():
     with pytest.raises(ValueError, match="heavy tail"):
-        ql.rand_quant_integrand(lambda r: 0.5, 2, 1.0, 10, r_max=100.0)
+        ql.rand_quant_integrand(lambda r: 0.5, 2, 1.0, 10)
 
 
 def _closed_form_F(law, x, p, N):

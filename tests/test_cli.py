@@ -245,3 +245,67 @@ def test_bounds_task_with_sandwich(tmp_path):
 def test_build_measure_curve_requires_shape_or_vertices():
     with pytest.raises(ConfigError):
         build_measure({"kind": "curve"})
+
+
+def test_compare_subcommand_exit_codes(tmp_path, capsys):
+    a = write_cfg(tmp_path, "a.json", {"task": "error", "results": {"x": 1.0}})
+    b = write_cfg(tmp_path, "b.json", {"task": "error", "results": {"x": 1.5}})
+    assert run_cli(["compare", a, b, "--tol", "0.1"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["n_diffs"] == 1 and summary["n_flagged"] == 1
+    assert summary["flagged"][0]["path"] == "$.results.x"
+    other = write_cfg(tmp_path, "c.json", {"task": "cantor", "results": {}})
+    assert run_cli(["compare", a, other]) == 2
+    assert "task mismatch" in capsys.readouterr().err
+
+
+def test_invalid_config_exits_before_the_output_directory(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "bad.json", dict(UNIFORM_COEFF, p=0.5))
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "invalid config: $['p']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_measure_ifs():
+    m = build_measure({"kind": "ifs", "ratios": [1 / 3, 1 / 3],
+                       "offsets": [[0.0], [2 / 3]], "weights": [0.5, 0.5],
+                       "depth": 12})
+    assert m.kind == "ifs" and m.ambient_dim == 1
+    assert m.intrinsic_dim == pytest.approx(math.log(2) / math.log(3), rel=1e-12)
+
+
+def test_build_measure_empirical():
+    m = build_measure({"kind": "empirical", "points": [[0, 0], [1, 0], [0, 1]],
+                       "weights": [1, 2, 1]})
+    assert m.kind == "empirical" and m.ambient_dim == 2
+    assert m.total_mass == 4.0
+
+
+def test_build_measure_hausdorff_quarter_circle():
+    m = build_measure({"kind": "curve", "shape": "quarter-circle", "segments": 64,
+                       "hausdorff": True})
+    L = m.curve.total_length
+    assert L == pytest.approx(math.pi / 2, rel=1e-3)
+    assert m.total_mass == pytest.approx(L, rel=1e-12)  # arc length, mass L
+    prob = build_measure({"kind": "curve", "shape": "quarter-circle", "segments": 64})
+    assert prob.total_mass == pytest.approx(1.0, rel=1e-12)
+
+
+def test_distribution_task_farthest_point_in_boxes(tmp_path):
+    cfg = write_cfg(tmp_path, "d.json", {
+        "task": "distribution", "seed": 4, "p": "inf", "N": 16, "n_mc": 4000,
+        "measure": {"kind": "uniform-box", "lo": [0, 0], "hi": [1, 1]},
+        "solver": {"name": "farthest-point"},
+        "regions": [{"type": "box", "lo": [0, 0], "hi": [0.5, 1]},
+                    {"type": "box", "lo": [0.5, 0], "hi": [1, 1]},
+                    {"type": "box", "lo": [2, 2], "hi": [3, 3]}],
+    })
+    out = str(tmp_path / "out")
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    res = read_report(out)["results"]
+    assert res["n_points"] == 16
+    left, right, outside = res["fractions"]
+    assert left + right == pytest.approx(1.0) and outside == 0.0
+    assert 0.25 <= left <= 0.75  # greedy spreads the cover over the square
+    assert res["error"]["method"] == "sup" and 0 < res["error"]["value"] < 0.5

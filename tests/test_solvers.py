@@ -79,6 +79,23 @@ def test_cell_center_weiszfeld_2d():
         assert base <= obj(c + rng.normal(scale=1e-3, size=2)) + 1e-9
 
 
+def test_cell_center_weiszfeld_from_a_vertex_that_is_the_median():
+    # the start, the mean, is the centre point of the cross: the vertex step
+    # finds the pull of the four arms cancels and stays there
+    cross = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    assert np.array_equal(ql.cell_center(cross, None, 1.0), [0.0, 0.0])
+    # a cell whose every point is the same vertex is that point
+    assert np.array_equal(ql.cell_center(np.tile([0.3, 0.4], (3, 1)), None, 1.0),
+                          [0.3, 0.4])
+
+
+def test_cell_center_weiszfeld_steps_off_a_vertex_that_is_not_the_median():
+    # the mean (0, 0) is a data point of weight 1, but the three points at
+    # (1, 0) pull with weight 3 - 1: the vertex step leaves for the median
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [-3.0, 0.0]])
+    assert np.allclose(ql.cell_center(pts, None, 1.0), [1.0, 0.0], atol=1e-9)
+
+
 def test_cell_center_beats_perturbations():
     rng = np.random.default_rng(2)
     for p in (1.0, 2.0, 3.5):
@@ -184,7 +201,8 @@ def test_center_step_matches_sequential_sums():
     sums = np.zeros((9, 3))
     np.add.at(sums, assign, W)
     counts = np.bincount(assign, minlength=9)
-    S_new, reseeded = _centers_update(W, assign, S, 2.0, rng.random(5000))
+    S_new, reseeded = _centers_update(np.ascontiguousarray(W.T), assign, S, 2.0,
+                                      rng.random(5000))
     assert reseeded
     assert np.array_equal(S_new[:8], sums[:8] / counts[:8, None])
 
@@ -195,6 +213,7 @@ def _full_query_restart(W, S, p, cfg):
     """Lloyd with every point queried on a kd-tree in every iteration."""
     v_hist, reseeds = [], 0
     converged = False
+    cols = np.ascontiguousarray(W.T)
     for _ in range(cfg.max_iters):
         dist, assign = cKDTree(S).query(W)
         V = float(np.mean(dist ** p))
@@ -203,7 +222,7 @@ def _full_query_restart(W, S, p, cfg):
                 and v_hist[-2] - V <= cfg.rel_tol * max(v_hist[-2], 1e-300)):
             converged = True
             break
-        S, reseeded = _centers_update(W, assign, S, p, dist)
+        S, reseeded = _centers_update(cols, assign, S, p, dist)
         reseeds += reseeded
     return S, v_hist, converged, reseeds
 
@@ -224,13 +243,14 @@ def _working_sample(kind, n, d, rng):
 def test_bounded_lloyd_matches_full_query(d, N, p, kind, n, far_site, seed):
     rng = np.random.default_rng(seed)
     W = _working_sample(kind, n, d, rng)
-    S0 = _seed_pp(W, np.full(n, 1.0), N, rng)  # may repeat a site: ties
+    cols = np.ascontiguousarray(W.T)
+    S0 = _seed_pp(cols, np.full(n, 1.0), N, rng)  # may repeat a site: ties
     far_site = far_site and N >= 2
     if far_site:  # its cell is empty in the first step, which reseeds it
         S0[-1] = 10.0
     max_iters = 12 if p == 2.0 else 6
     cfg = ql.SolverConfig(max_iters=max_iters, rel_tol=1e-12)
-    S, v_hist, converged, requeried = _lloyd_restart(W, S0.copy(), p, cfg)
+    S, v_hist, converged, requeried = _lloyd_restart(cols, S0.copy(), p, cfg)
     S_ref, v_ref, conv_ref, reseeds = _full_query_restart(W, S0.copy(), p, cfg)
     assert np.array_equal(S, S_ref)
     assert v_hist == v_ref
@@ -246,9 +266,10 @@ def test_bounded_lloyd_high_dimension():
     # ulps; assignments, hence the p=2 centres, stay those of a full query
     rng = np.random.default_rng(4)
     W = rng.normal(size=(3000, 8))
-    S0 = _seed_pp(W, np.full(len(W), 1.0), 10, rng)
+    cols = np.ascontiguousarray(W.T)
+    S0 = _seed_pp(cols, np.full(len(W), 1.0), 10, rng)
     cfg = ql.SolverConfig(max_iters=25, rel_tol=1e-12)
-    S, v_hist, _, requeried = _lloyd_restart(W, S0.copy(), 2.0, cfg)
+    S, v_hist, _, requeried = _lloyd_restart(cols, S0.copy(), 2.0, cfg)
     S_ref, v_ref, _, _ = _full_query_restart(W, S0.copy(), 2.0, cfg)
     assert np.array_equal(S, S_ref)
     assert len(v_hist) == len(v_ref)
@@ -307,9 +328,80 @@ def test_seed_pp_matches_the_row_formula(kind, d):
     W = _working_sample(kind, 2000, d, rng)
     w = rng.random(len(W)) + 0.5
     for N, seed in [(1, 0), (7, 1), (40, 2), (150, 3)]:
-        got = _seed_pp(W, w, N, np.random.default_rng(seed))
+        got = _seed_pp(np.ascontiguousarray(W.T), w, N, np.random.default_rng(seed))
         ref = _seed_pp_rows(W, w, N, np.random.default_rng(seed))
         assert np.array_equal(got, ref)
+
+
+# --- reference copies of the row code the columns replaced -------------------
+
+def _farthest_point_cover_rows(points, N, seed):
+    """Greedy k-center on the sample's rows: the picks and the radius."""
+    rng = np.random.default_rng(seed)
+    first = int(rng.integers(len(points)))
+    centers = [first]
+    dist = np.linalg.norm(points - points[first], axis=1)
+    while len(centers) < min(N, len(points)):
+        far = int(np.argmax(dist))
+        centers.append(far)
+        dist = np.minimum(dist, np.linalg.norm(points - points[far], axis=1))
+    return points[np.array(centers)], float(dist.max())
+
+
+def _reseed_rows(W, dist, empties, S):
+    """Each empty cell in turn takes the sample point farthest from the sites."""
+    S = S.copy()
+    dcur = dist.copy()
+    for k in empties:
+        far = int(np.argmax(dcur))
+        S[k] = W[far]
+        dcur = np.minimum(dcur, np.linalg.norm(W - W[far], axis=1))
+    return S
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicated"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_farthest_point_cover_matches_the_row_loop(kind, d):
+    rng = np.random.default_rng(20 + d)
+    W = _working_sample(kind, 400, d, rng)
+    A = cloud_from_points(W)
+    for N, seed in [(1, 0), (2, 1), (17, 2), (400, 3), (500, 4)]:
+        q = ql.farthest_point_cover(A, N, seed=seed)
+        pts, radius = _farthest_point_cover_rows(W, N, seed)
+        assert np.array_equal(q.points, pts)
+        assert q.error.value == radius
+        assert q.provenance.iterations == len(pts)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicated"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_reseed_matches_the_row_loop(kind, d):
+    rng = np.random.default_rng(30 + d)
+    W = _working_sample(kind, 500, d, rng)
+    cols = np.ascontiguousarray(W.T)
+    S = rng.random((12, d))
+    assign = rng.integers(0, 7, size=len(W))  # cells 7..11 stay empty
+    dist = np.linalg.norm(W - S[assign], axis=1)
+    dist_before = dist.copy()
+    S_new, reseeded = _centers_update(cols, assign, S, 2.0, dist)
+    assert reseeded
+    assert np.array_equal(dist, dist_before)  # the caller's distances stay
+    ref = _reseed_rows(W, dist, np.arange(7, 12), S)
+    assert np.array_equal(S_new[7:], ref[7:])
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_center_step_matches_cell_center_on_rows(p, d):
+    rng = np.random.default_rng(40 + d)
+    W = rng.normal(size=(300, d))
+    S = rng.normal(size=(4, d))
+    assign = rng.integers(0, 4, size=len(W))
+    S_new, reseeded = _centers_update(np.ascontiguousarray(W.T), assign, S, p,
+                                      np.zeros(len(W)))
+    assert not reseeded
+    for k in range(4):
+        assert np.array_equal(S_new[k], ql.cell_center(W[assign == k], None, p))
 
 
 def test_lloyd_reports_requeried_points():
@@ -470,3 +562,17 @@ def test_cantor_cover_radius_formula():
     pts, r = ql.cantor_cover(6)
     assert pts.shape[0] == 4  # floor(log2 6) = 2 -> 4 cylinder midpoints
     assert r == pytest.approx(1 / 18)
+
+
+@pytest.mark.parametrize("k", [1, 20, 41, 52])
+def test_cantor_depth_is_exact_at_powers_of_two(k):
+    # floor(log2 N) from the bit length: a float log2 rounds 2^k - 1 up to k
+    # from k = 41 on
+    for N in (2 ** k - 1, 2 ** k, np.int64(2 ** k - 1), np.int64(2 ** k)):
+        depth = k - 1 if N == 2 ** k - 1 else k
+        assert ql.cantor_covering_radius(N) == 3.0 ** (-depth) / 2.0
+    if k <= 20:
+        for N in (2 ** k - 1, 2 ** k):
+            pts, r = ql.cantor_cover(N)
+            assert len(pts) == 2 ** (k - 1 if N == 2 ** k - 1 else k)
+            assert r == ql.cantor_covering_radius(N)
