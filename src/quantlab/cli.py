@@ -452,6 +452,17 @@ def compare_reports(report_a: dict, report_b: dict, tol: float = 0.0) -> dict:
             "tolerance": tol, "diffs": diffs, "flagged": flagged}
 
 
+def _read_report(path) -> dict:
+    try:
+        with open(path) as fh:
+            report = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read report: {exc}") from None
+    if not isinstance(report, dict):
+        raise ConfigError(f"cannot read report: {path}: not a JSON object")
+    return report
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="quantlab",
                                      description="measure quantization experiments")
@@ -477,11 +488,8 @@ def main(argv=None) -> int:
 
     if args.command == "compare":
         try:
-            with open(args.report_a) as fh:
-                ra = json.load(fh)
-            with open(args.report_b) as fh:
-                rb = json.load(fh)
-            summary = compare_reports(ra, rb, tol=args.tol)
+            summary = compare_reports(_read_report(args.report_a),
+                                      _read_report(args.report_b), tol=args.tol)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

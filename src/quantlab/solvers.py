@@ -481,11 +481,13 @@ class Dp1dSolver:
     optimal costs are closed-form (constant density, p in {1,2}) or
     integrated piecewise by `Law1D.cell_integral` around a centre found by
     safeguarded Newton (other p, `_CellOracle._centers`), and come on demand.
-    Every layer is a monotone row minimum solved by divide and conquer:
-    O(G log G) cell costs and O(G) memory besides the (n_max, G)
-    backpointers. `solve` refines the grid solution to the continuum
-    stationary point by a safeguarded Newton loop, whose Newton steps are
-    kept only when they do not raise the cost.
+    Every layer is a monotone row minimum solved by divide and conquer in
+    O(G log G) cell costs; the solver keeps the (n_max, G) backpointers. A
+    cost that is not closed-form (p = 1 or general p on a non-constant law)
+    is priced once per build: the build holds a memo of 8 (G+1)^2 bytes and
+    drops it when it returns. `solve` refines the grid solution to the
+    continuum stationary point by a safeguarded Newton loop, whose Newton
+    steps are kept only when they do not raise the cost.
     """
 
     _TOL = 1e-13  # refinement stops at a stationarity residual below _TOL * span
@@ -526,13 +528,35 @@ class Dp1dSolver:
         self._back = back
 
     def _costs(self):
-        """cost(i, j): optimal cost of the cells [grid[i], grid[j]], i < j."""
+        """cost(i, j): optimal cost of the cells [grid[i], grid[j]], i < j.
+
+        The constant-density closed form and p = 2 from the nodal moments are
+        recomputed on every call: that is cheaper than a lookup, and p = 2's
+        2048-cell default grid would need a 33.6 MB memo. Every other cost is
+        priced once: a memo of 8 (G+1)^2 bytes, indexed by grid indices and
+        NaN until priced, lives as long as the returned function, i.e. for the
+        build. Later layers ask mostly for cells earlier ones priced, and a
+        cost depends only on its own cell, so the memo changes no bit.
+        """
         grid, oracle = self.grid, self.oracle
         if oracle.constant is not None or self.p not in (1.0, 2.0):
-            return lambda i, j: oracle.centers_costs(grid[i], grid[j])[1]
-        nodal = oracle.law.moments(grid)  # one pass; cells index into it
-        return lambda i, j: oracle.centers_costs(
-            grid[i], grid[j], moments_l=nodal.take(i, 1), moments_r=nodal.take(j, 1))[1]
+            price = lambda i, j: oracle.centers_costs(grid[i], grid[j])[1]
+        else:
+            nodal = oracle.law.moments(grid)  # one pass; cells index into it
+            price = lambda i, j: oracle.centers_costs(
+                grid[i], grid[j], moments_l=nodal.take(i, 1), moments_r=nodal.take(j, 1))[1]
+        if oracle.constant is not None or self.p == 2.0:
+            return price
+        memo = np.full((grid.size, grid.size), np.nan)
+
+        def cost(i, j):
+            c = memo[i, j]
+            new = np.flatnonzero(np.isnan(c))
+            if new.size:
+                i, j = i[new], j[new]
+                c[new] = memo[i, j] = price(i, j)
+            return c
+        return cost
 
     def grid_boundaries(self, N: int) -> np.ndarray:
         """Interior cell boundaries of the grid-optimal N-cell solution."""

@@ -259,6 +259,18 @@ def test_compare_subcommand_exit_codes(tmp_path, capsys):
     assert "task mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [None, "{bad", "[1, 2]"],
+                         ids=["missing", "invalid", "list"])
+def test_compare_unreadable_report_exits_2(tmp_path, capsys, text):
+    a = write_cfg(tmp_path, "a.json", {"task": "error", "results": {"x": 1.0}})
+    bad = tmp_path / "bad.json"
+    if text is not None:
+        bad.write_text(text)
+    assert run_cli(["compare", a, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read report: ") and "Traceback" not in err
+
+
 def test_invalid_config_exits_before_the_output_directory(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bad.json", dict(UNIFORM_COEFF, p=0.5))
     out = tmp_path / "o"

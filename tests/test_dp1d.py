@@ -81,10 +81,12 @@ def test_dp_matches_dense_layer_min(m, p, G, data):
         assert np.array_equal(solver.grid_boundaries(N), boundaries(N))
 
 
-@pytest.mark.parametrize("p, n_max", [(2, 256), (3, 64)], ids=["p2", "p3"])
+@pytest.mark.parametrize("p, n_max", [(2, 256), (3, 64), (1, 128)],
+                         ids=["p2", "p3", "p1"])
 def test_dp_memory_is_linear_in_grid(p, n_max):
     # at the default grids (2048 cells at p=2, 512 at p=3) dense layers held
-    # ~290 MB of tables at p=2, and a tabulated general-p cost pass 183 MB
+    # ~290 MB of tables at p=2, and a tabulated general-p cost pass 183 MB;
+    # the build's cost memo is 8 (G+1)^2 bytes, 8.4 MB at p=1's G=1024
     m = ql.density1d(lambda x: 2 * np.asarray(x), (0, 1))
     tracemalloc.start()
     try:
@@ -111,6 +113,25 @@ def test_general_p_refinement_never_rises_above_the_grid_optimum():
 def _step_density():
     return ql.density1d(lambda x: np.where(np.asarray(x) < 0.4, 3.0, 0.5), (0.0, 1.0),
                         breakpoints=[0.4])
+
+
+@pytest.mark.parametrize("m", [ql.density1d(lambda x: 2 * np.asarray(x), (0, 1)),
+                               _step_density()], ids=["2x", "step"])
+@pytest.mark.parametrize("p", [1, 1.5, 3])
+def test_dp_build_prices_each_cell_once(monkeypatch, m, p):
+    # every layer's row minimum asks again for cells earlier layers priced:
+    # 89326 cells, 13595 of them distinct, at p=3, n_max=64, G=256
+    seen = []
+    batch = ql.solvers._CellOracle.centers_costs
+
+    def recorded(self, ls, rs, *args, **kwargs):
+        seen.append(np.stack([ls, rs], axis=1))
+        return batch(self, ls, rs, *args, **kwargs)
+
+    monkeypatch.setattr(ql.solvers._CellOracle, "centers_costs", recorded)
+    ql.Dp1dSolver(m, p, n_max=32, grid_size=128)
+    cells = np.concatenate(seen)
+    assert len(cells) == len(np.unique(cells, axis=0))
 
 
 @pytest.mark.parametrize("m", [ql.density1d(lambda x: 2 * np.asarray(x), (0, 1)),
