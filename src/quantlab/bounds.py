@@ -164,7 +164,7 @@ def rand_quant_integrand(ball_fn, p, s: float, N: int, breakpoints=()) -> float:
     q = scale * half * (f(nodes) @ _GL_WEIGHTS)
     vals = q[:, 1] + q[:, 2]
     for i in np.flatnonzero(np.abs(vals - q[:, 0]) > 1e-13 + 1e-10 * np.abs(vals)):
-        vals[i] = scale * quad(f, a[i], b[i], epsabs=1e-13, epsrel=1e-10, limit=200)[0]
+        vals[i] = scale * quad(f, a[i], b[i], epsabs=1e-13 / scale, epsrel=1e-10, limit=200)[0]
     return float(vals.sum())
 
 

@@ -9,12 +9,12 @@ heuristic; it reports best-found values and never claims global optimality.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
 from .error import INF, ErrorEstimate, check_order, error_eval, error_exact_1d
@@ -129,89 +129,161 @@ def seed_plusplus(cloud: PointCloud, N: int, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-cell centers
+# cell centres
 
-def _weighted_median_1d(x, w):
-    order = np.argsort(x, kind="stable")
-    xs, ws = x[order], w[order]
-    cum = np.cumsum(ws)
-    k = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    return float(xs[min(k, len(xs) - 1)])
+_STEP_TOL = 1e-12  # a cell stops once its step is below this share of its size
+_ROUND = 1e-13  # rounding allowed: an objective may rise, a pull exceed W0, by this share
+_WEAK = 1e-9  # p = 1: a Hessian singular to this share gives way to Weiszfeld's map
+_MAX_PASSES = 100
 
 
-def _weiszfeld(points, weights, tol=1e-10, max_iter=10000):
-    y = np.average(points, axis=0, weights=weights)
-    for _ in range(max_iter):
-        diff = points - y
-        dist = np.linalg.norm(diff, axis=1)
-        at = dist < 1e-14
-        if np.any(at):
-            k = int(np.argmax(at))
-            others = ~at
-            if not np.any(others):
-                return points[k]
-            inv = weights[others] / dist[others]
-            R = np.sum(inv[:, None] * diff[others], axis=0)
-            r = np.linalg.norm(R)
-            wk = weights[at].sum()
-            if r <= wk:
-                return y
-            T = np.sum(inv[:, None] * points[others], axis=0) / inv.sum()
-            gamma = min(1.0, wk / r)
-            y_new = (1.0 - gamma) * T + gamma * y
-        else:
-            inv = weights / dist
-            y_new = np.sum(inv[:, None] * points, axis=0) / inv.sum()
-        if np.linalg.norm(y_new - y) < tol:
-            return y_new
-        y = y_new
-    return y
+def _lower_medians(x, assign, counts, ok, w):
+    """Each cell's lower weighted median of x: its first point, in (x, sample)
+    order, whose running weight reaches half of the cell's."""
+    order = np.lexsort((x, assign))
+    cum = np.cumsum(np.ones(x.size) if w is None else w[order])
+    ends = np.cumsum(counts)[ok]
+    before = np.concatenate([[0.0], cum])[ends - counts[ok]]
+    k = np.searchsorted(cum, before + 0.5 * (cum[ends - 1] - before))
+    return x[order[np.minimum(k, ends - 1)]]
+
+
+def _cell_moments(X, a, m, z, p, w):
+    """Sums over the m cells labelled by `a` at trial centres z, r = x - z:
+    f = sum w|r|^p, the pull R = sum w|r|^(p-2) r and Hessian H = sum
+    w|r|^(p-2) (I + (p-2) r r^T/|r|^2) of the points off z (H^-1 R is
+    Newton's step), Hs = sum w|r|^(p-2), the mass W0 at z, and the nearest
+    point off z with the share of Hs held at its distance."""
+    sums = lambda v: np.bincount(a, weights=v, minlength=m)
+    r = [c - z[:, k].take(a) for k, c in enumerate(X)]
+    rho2 = sum(rk * rk for rk in r)
+    wrp = np.sqrt(rho2) ** p * (1.0 if w is None else w)
+    off = rho2 > 0
+    u = np.divide(wrp, rho2, out=np.zeros(a.size), where=off)  # w |r|^(p-2)
+    v = (p - 2.0) * np.divide(u, rho2, out=np.zeros(a.size), where=off)
+    Hs = sums(u)
+    H = np.empty((m, len(X), len(X)))
+    for i, j in itertools.combinations_with_replacement(range(len(X)), 2):
+        H[:, i, j] = H[:, j, i] = sums(v * r[i] * r[j]) + (i == j) * Hs
+    far = np.where(off, rho2, np.inf)
+    nearest, first = np.full(m, np.inf), np.full(m, a.size)
+    np.minimum.at(nearest, a, far)
+    hit = np.flatnonzero(far == nearest[a])
+    np.minimum.at(first, a[hit], hit)
+    return (sums(wrp), np.column_stack([sums(u * rk) for rk in r]), H, Hs,
+            sums(np.where(off, 0.0, 1.0 if w is None else w)),
+            X.take(first, 1, mode="clip").T, np.bincount(a[hit], u[hit], m))
+
+
+def _newton_centers(X, a, y, mass, p, w):
+    """Every cell's argmin of sum w|x - y|^p by safeguarded Newton from its
+    mean y, all cells at once; each pass sums every active cell at its trial.
+
+    A trial stands unless its objective rises (by more than rounding); then
+    Newton's step from it is the next trial, else the step halves. Sample
+    points are kinks for p < 2, so a trial that rose, or an iterate whose
+    nearest sample points hold half of Hs (also a cell at one point), first
+    tries the nearest sample point, once: a minimum there is found exactly.
+    At p = 1 a sample point of mass W0 is the minimum if the pull of the
+    others is at most W0. Otherwise, from a sample point the step follows
+    the pull, by about the root of W0 s^(p-1) + curvature s = pull (exactly
+    at p = 1); and at p = 1 a singular Hessian (a line of points through y)
+    gives way to Weiszfeld's map. A cell stops once its step is below _STEP_TOL of its size
+    (f/mass)^(1/p) at the mean, takes that last step, and leaves the sums,
+    so its centre depends only on its own points, in sample order.
+    """
+    m, d = y.shape
+    y, rows, fy, dy = y.copy(), np.arange(m), np.full(m, np.inf), np.zeros((m, d))
+    out, z, near, last = y.copy(), y.copy(), y.copy(), np.full((m, d), np.nan)
+    snap, vertex, close = (np.zeros(m, dtype=bool) for _ in range(3))
+    tol = None
+    for _ in range(_MAX_PASSES):
+        f, R, H, Hs, W0, nz, unear = _cell_moments(X, a, len(rows), z, p, w)
+        if tol is None:  # the pass at the mean gives each cell's size
+            tol = (_STEP_TOL * (f / np.where(mass > 0, mass, 1)) ** (1.0 / p)
+                   + 4.0 * np.spacing(np.abs(y).max(axis=1)))
+        acc = f <= fy * (1.0 + _ROUND)
+        y[acc], fy[acc], near[acc] = z[acc], f[acc], nz[acc]
+        vertex[acc], close[acc] = W0[acc] > 0, 2.0 * unear[acc] >= Hs[acc]
+        done = acc & (f == 0)
+        pull = np.linalg.norm(R, axis=1)
+        if p == 1.0:
+            done |= acc & vertex & (pull <= W0 * (1.0 + _ROUND))
+            rest = np.where(unear < Hs, Hs - unear, Hs)  # Hs but for the nearest
+            weak = np.linalg.eigvalsh(H)[:, 0] <= _WEAK * rest
+            H[weak] = Hs[weak, None, None] * np.eye(d)
+        step = acc & ~done
+        dy[step] = np.linalg.solve(H[step], R[step][..., None])[..., 0]
+        dy[done] = 0.0
+        # from a sample point, a kink for p < 2, only the pull's own direction
+        # descends: at p = 1 the root of W0 + curvature s = pull, else the
+        # shorter of the roots with either term alone
+        leave = np.flatnonzero(step & vertex & (pull > 0) & (p < 2.0))
+        g, W0 = pull[leave], W0[leave]
+        e = R[leave] / g[:, None]
+        curv = sum(e[:, i] * H[leave, i, j] * e[:, j] for i in range(d) for j in range(d))
+        dy[leave] = e * ((g - W0) / curv if p == 1.0 else
+                         np.minimum((g / W0) ** (1.0 / (p - 1.0)), g / curv))[:, None]
+        halved = ~acc & ~snap  # a rejected sample point retries the step behind it
+        dy[halved] *= 0.5
+        snap = ~done & ~vertex & np.any(near != last, axis=1) & (halved | (acc & close))
+        fin = ~snap & (acc | halved) & (np.linalg.norm(dy, axis=1) <= tol)
+        y[fin & acc] += dy[fin & acc]
+        done |= fin
+        z = np.where(snap[:, None], near, y + dy)
+        last[snap] = near[snap]
+        out[rows[done]] = y[done]
+        keep = ~done
+        if not keep.any():
+            return out
+        if not keep.all():
+            label = np.where(keep, np.cumsum(keep) - 1, -1)[a]
+            X, a, w = X[:, label >= 0], label[label >= 0], None if w is None else w[label >= 0]
+            rows, y, fy, dy, z, near, last, snap, vertex, close, tol = (
+                v[keep] for v in (rows, y, fy, dy, z, near, last, snap, vertex, close, tol))
+    out[rows] = y
+    return out
+
+
+def _cell_centers(cols, assign, S, p, weights=None):
+    """Each cell's argmin_y of sum w|x - y|^p over its points, from the
+    coordinate columns `cols` (d, n), and the cells' point counts; a cell
+    without mass keeps its row of S. p = 2 is the mean from segment sums,
+    p = 1 in 1D the lower weighted median, other p `_newton_centers`."""
+    N = len(S)
+    counts = np.bincount(assign, minlength=N)
+    mass = counts if weights is None else np.bincount(assign, weights, N)
+    ok = mass > 0
+    C = S.copy()
+    C[ok] = np.column_stack([np.bincount(assign, weights=c, minlength=N) for c in
+                             (cols if weights is None else cols * weights)])[ok] / mass[ok, None]
+    if p == 1.0 and len(cols) == 1:
+        C[ok, 0] = _lower_medians(cols[0], assign, counts, ok, weights)
+    elif p != 2.0:
+        C = _newton_centers(cols, assign, C, mass, p, weights)
+    return C, counts
 
 
 def cell_center(points, weights=None, p=2.0) -> np.ndarray:
-    """argmin_a of the weighted p-th moment of a cell around a.
-
-    p=2 weighted mean (exact); p=1 geometric median (exact in 1D, Weiszfeld
-    with vertex handling otherwise); other finite p coordinate-wise descent.
-    p=inf raises ValueError.
-    """
+    """argmin_a of the weighted p-th moment of a cell around a: the one-cell
+    call of Lloyd's batched centre step (`_cell_centers`). Non-finite points,
+    weights that are non-finite, negative, all zero or not one per point,
+    and p=inf raise ValueError."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = pts.shape
-    if n == 0:
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    if len(pts) == 0:
         raise ValueError("empty cell")
-    w = np.full(n, 1.0) if weights is None else np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("cell points must be finite")
+    if w is not None and not (w.shape == pts.shape[:1] and np.all(np.isfinite(w))
+                              and np.all(w >= 0) and np.any(w > 0)):
+        raise ValueError("weights must be finite and non-negative, one per point, "
+                         "not all zero")
     p = check_order(p)
-
     if math.isinf(p):
         raise ValueError("cell_center handles finite p only")
-    if p == 2.0:
-        return np.average(pts, axis=0, weights=w)
-    if p == 1.0:
-        if d == 1:
-            return np.array([_weighted_median_1d(pts[:, 0], w)])
-        return _weiszfeld(pts, w)
-
-    # general finite p: cyclic coordinate-wise minimization of a convex objective
-    y = np.average(pts, axis=0, weights=w)
-    for _ in range(200):
-        moved = 0.0
-        for c in range(d):
-            lo, hi = pts[:, c].min(), pts[:, c].max()
-            if hi - lo < 1e-15:
-                continue
-
-            def f(v, _c=c, _y=y):
-                z = _y.copy()
-                z[_c] = v
-                return float(np.sum(w * np.linalg.norm(pts - z, axis=1) ** p))
-
-            res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-12})
-            moved = max(moved, abs(res.x - y[c]))
-            y[c] = res.x
-        if moved < 1e-10:
-            break
-    return y
+    return _cell_centers(np.ascontiguousarray(pts.T), np.zeros(len(pts), dtype=np.intp),
+                         np.zeros((1, pts.shape[1])), p, w)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +291,7 @@ def cell_center(points, weights=None, p=2.0) -> np.ndarray:
 
 def _centers_update(cols, assign, S, p, dist):
     """One center step with reseed-at-farthest for empty cells."""
-    N = len(S)
-    counts = np.bincount(assign, minlength=N)
-    S_new = S.copy()
-    if p == 2.0:
-        sums = np.column_stack([np.bincount(assign, weights=c, minlength=N)
-                                for c in cols])
-        ok = counts > 0
-        S_new[ok] = sums[ok] / counts[ok, None]
-    else:
-        for k in np.nonzero(counts > 0)[0]:
-            # C order, so np.average sums each coordinate in sample order
-            S_new[k] = cell_center(cols[:, assign == k].T.copy(), None, p)
+    S_new, counts = _cell_centers(cols, assign, S, p)
     empties = np.nonzero(counts == 0)[0]
     reseeded = len(empties) > 0
     if reseeded:

@@ -165,6 +165,17 @@ def test_rand_quant_integrand_takes_no_quad_between_the_kink_radii(monkeypatch):
         ql.rand_quant_integrand(lambda r: 0.5, 3, 1.0, 16)
 
 
+@pytest.mark.parametrize("N, p", [(100, 3), (1000, 3), (1000, 4)])
+def test_rand_quant_integrand_fallback_quad_holds_its_tolerance_on_the_scale_of_F(N, p):
+    # without the kink radii the split rules disagree and quad integrates the
+    # pieces; its absolute tolerance must hold after the p N^(p/s) scale
+    # (it was 3.6e-9, 8.8e-7 and 3.8e-6 relative off)
+    m = ql.uniform_interval()
+    ball = ql.measure_ball_fn(m, [0.0012])
+    F = ql.rand_quant_integrand(ball, p, 1.0, N, breakpoints=np.abs(0.0012 - m.law.breakpoints))
+    assert ql.rand_quant_integrand(ball, p, 1.0, N) == pytest.approx(F, rel=1e-12)
+
+
 def test_rand_quant_integrand_on_the_unit_square_matches_split_quadrature():
     m = ql.uniform_box([0, 0], [1, 1])
     points = [(0.5, 0.5), (0.1, 0.3), (0.0, 0.0), (0.9, 0.05)]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -402,6 +402,137 @@ def test_center_step_matches_cell_center_on_rows(p, d):
     assert not reseeded
     for k in range(4):
         assert np.array_equal(S_new[k], ql.cell_center(W[assign == k], None, p))
+
+
+# --- the batched centre step against an independent long run ---------------
+
+def _long_run_center(pts, w, p):
+    """A reference centre by other means, run long: at p = 1 Weiszfeld's map
+    with the vertex rule, then the best of it and every sample point; at
+    other p cyclic coordinate-wise minimisation by bounded scalar search."""
+    from scipy.optimize import minimize_scalar
+    obj = lambda y: float(np.sum(w * np.linalg.norm(pts - y, axis=1) ** p))
+    y = np.average(pts, axis=0, weights=w)
+    if p == 1.0:
+        for _ in range(5000):
+            diff = pts - y
+            dist = np.linalg.norm(diff, axis=1)
+            at = dist < 1e-14
+            inv = w[~at] / dist[~at]
+            if not inv.size:
+                break
+            T = np.sum(inv[:, None] * pts[~at], axis=0) / inv.sum()
+            if np.any(at):
+                r = np.linalg.norm(np.sum(inv[:, None] * diff[~at], axis=0))
+                if r <= w[at].sum():
+                    break
+                gamma = min(1.0, w[at].sum() / r)
+                T = (1.0 - gamma) * T + gamma * y
+            y, step = T, np.linalg.norm(T - y)
+            if step <= 1e-16:
+                break
+        return min([y, *pts], key=obj)
+    for _ in range(100):
+        moved = 0.0
+        for c in range(pts.shape[1]):
+            lo, hi = pts[:, c].min(), pts[:, c].max()
+            if hi - lo < 1e-15:
+                continue
+
+            def f(v, _c=c):
+                z = y.copy()
+                z[_c] = v
+                return obj(z)
+
+            x = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                options={"xatol": 1e-13}).x
+            moved, y[c] = max(moved, abs(x - y[c])), x
+        if moved <= 1e-12:
+            break
+    return y
+
+
+def _assert_optimal_center(pts, w, p, c):
+    """First-order optimality of c, and no objective above the long run."""
+    r = pts - c
+    rho = np.linalg.norm(r, axis=1)
+    off = rho > 0
+    if p == 1.0:  # at a sample point, the vertex rule; elsewhere a zero pull
+        pull = np.linalg.norm(np.sum((w[off] / rho[off])[:, None] * r[off], axis=0))
+        at = w[~off].sum()
+        assert (at > 0 and pull <= at + 1e-12 * w.sum()) or pull <= 1e-9 * w.sum()
+    else:  # the pull sum w|r|^(p-2) r is the gradient / -p
+        def pull(y):
+            r = pts - y
+            rho = np.linalg.norm(r, axis=1)
+            off = rho > 0
+            return np.sum((w[off] * rho[off] ** (p - 2))[:, None] * r[off], axis=0)
+
+        g = pull(c)
+        if np.linalg.norm(g) > 1e-9 * np.sum(w * rho ** (p - 1)):
+            # next to a sample point |r|^(p-1) is steeper at p < 2 than floats
+            # resolve: then the minimum along the pull must lie within 4 ulps
+            e = g / np.linalg.norm(g)
+            assert pull(c + 4 * np.spacing(np.abs(c).max()) * e) @ e <= 0
+    obj = lambda y: float(np.sum(w * np.linalg.norm(pts - y, axis=1) ** p))
+    assert obj(c) <= obj(_long_run_center(pts, w, p)) * (1 + 1e-12)
+
+
+def _near_vertex_cell(d, gap):
+    """Three weighted points whose p = 1 median lies next to the first one:
+    its weight falls short of the other two's pull by the share `gap`."""
+    B, C = np.eye(d)[0], np.r_[0.0, 1.0, 0.5] if d == 3 else np.r_[0.0, 1.0]
+    pull = np.linalg.norm(B + C / np.linalg.norm(C))
+    return np.array([np.zeros(d), B, C]), np.array([pull * (1.0 - gap), 1.0, 1.0])
+
+
+@settings(max_examples=120, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), p=st.sampled_from([1.0, 1.25, 1.5, 3.0, 4.0]),
+       kind=st.sampled_from(["uniform", "lattice", "duplicated", "near-vertex"]),
+       n=st.integers(1, 40), N=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+@example(d=3, p=1.0, kind="near-vertex", n=3, N=1, seed=4)
+def test_batched_center_step_is_optimal(d, p, kind, n, N, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "near-vertex" and d >= 2:
+        pts, w = _near_vertex_cell(d, 10.0 ** -rng.uniform(1, 8))
+        c = ql.cell_center(pts, w, p)
+        _assert_optimal_center(pts, w, p, c)
+        return
+    W = _working_sample("lattice" if kind == "near-vertex" else kind, n, d, rng)
+    assign = rng.integers(0, N, size=n)  # small n: single-point and empty cells
+    S_new, _ = _centers_update(np.ascontiguousarray(W.T), assign,
+                               rng.normal(size=(N, d)), p, np.zeros(n))
+    for k in np.unique(assign):
+        cell = W[assign == k]
+        assert np.array_equal(S_new[k], ql.cell_center(cell, None, p))
+        _assert_optimal_center(cell, np.ones(len(cell)), p, S_new[k])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("curve", [False, True])
+def test_lloyd_descent_at_every_p(p, curve):
+    m = (ql.hausdorff_curve_measure(ql.quarter_circle(256)) if curve
+         else ql.uniform_box([0, 0], [1, 1]))
+    cfg = ql.SolverConfig(restarts=1, max_iters=40, working_sample=4000,
+                          eval_samples=1000)
+    v = ql.lloyd(m, 12, p, cfg, seed=3).provenance.details["v_history"]
+    assert len(v) > 5
+    assert all(b <= a * (1 + 1e-12) + 1e-300 for a, b in zip(v[:-1], v[1:]))
+
+
+@pytest.mark.parametrize("points, weights, match", [
+    ([[0.0], [1.0]], [0.0, 0.0], "weights"),
+    ([[0.0], [1.0], [2.0]], [1.0, 1.0, -3.0], "weights"),
+    ([[0.0], [1.0]], [1.0, np.nan], "weights"),
+    ([[0.0], [1.0]], [1.0, np.inf], "weights"),
+    ([[0.0], [1.0]], [1.0, 1.0, 1.0], "weights"),
+    ([[0.0, 1.0], [np.nan, 2.0]], None, "finite"),
+    ([[0.0], [np.inf]], [1.0, 1.0], "finite"),
+])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_cell_center_rejects_bad_input(points, weights, match, p):
+    with pytest.raises(ValueError, match=match):
+        ql.cell_center(points, weights, p)
 
 
 def test_lloyd_reports_requeried_points():
