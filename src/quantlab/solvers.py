@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from .error import INF, ErrorEstimate, check_order, error_eval, error_exact_1d
 from .measures import (Law1D, Measure, cantor_cylinders, derive_seed,
                        piecewise_uniform, sample)
-from .spatial import PointCloud
+from .spatial import PointCloud, _as_points
 
 
 @dataclass
@@ -266,15 +266,14 @@ def _cell_centers(cols, assign, S, p, weights=None):
 
 def cell_center(points, weights=None, p=2.0) -> np.ndarray:
     """argmin_a of the weighted p-th moment of a cell around a: the one-cell
-    call of Lloyd's batched centre step (`_cell_centers`). Non-finite points,
+    call of Lloyd's batched centre step (`_cell_centers`). Points are coerced
+    as everywhere else: a flat list is n points in R^1. Non-finite points,
     weights that are non-finite, negative, all zero or not one per point,
     and p=inf raise ValueError."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _as_points(points)
     w = None if weights is None else np.asarray(weights, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty cell")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("cell points must be finite")
     if w is not None and not (w.shape == pts.shape[:1] and np.all(np.isfinite(w))
                               and np.all(w >= 0) and np.any(w > 0)):
         raise ValueError("weights must be finite and non-negative, one per point, "
@@ -310,25 +309,33 @@ def _other_max(shift):
 def _lloyd_restart(cols, S, p, cfg):
     """Lloyd iterations from the sites S on the sample's columns `cols` (d, n).
 
-    Each point keeps `lower`, a lower bound on its distance to every site but
-    its own (G. Hamerly, "Making k-means even faster", SDM 2010). A centre
-    step lowers it by the largest shift among the other sites. A point keeps
-    its site while its exact distance is strictly below that bound; every
-    other point, ties included, is re-queried on a kd-tree of the sites, so
-    the tree decides every assignment that could change, exactly as a full
-    query would. Returns the sites, the V_p history, convergence and the
-    number of points queried before each history entry.
+    A point keeps its site, unqueried, when its exact distance to it passes
+    either of Hamerly's tests (G. Hamerly, "Making k-means even faster", SDM
+    2010), each with a relative margin of 1e-12:
+    - it is below `lower`, the point's bound on its distance to every other
+      site, which a centre step lowers by the largest shift among the other
+      sites;
+    - it is below `half`, half the distance from its site to the nearest
+      other site. For any other site c_j, |x - c_j| >= 2 half - |x - c_a| >
+      |x - c_a|, so the point is strictly nearest its own site, whatever the
+      history.
+    Every other point, ties included, is re-queried on a kd-tree of the
+    sites, so the tree decides every assignment that could change, exactly
+    as a full query would. Returns the sites, the V_p history, convergence
+    and the number of points queried before each history entry.
     """
     n = cols.shape[1]
     assign = np.zeros(n, dtype=np.intp)
     lower = np.zeros(n)  # no bound yet: the first pass queries every point
+    tree, half = cKDTree(S), np.zeros(len(S))
     v_hist, requeried = [], []
     converged = False
     for _ in range(cfg.max_iters):
         dist = _dist(cols, S, assign)
-        stale = np.nonzero(~(dist < lower * (1.0 - 1e-12)))[0]
+        # one expression, so its temporaries are gone before the query
+        stale = np.nonzero(
+            ~(dist < np.maximum(lower, half.take(assign)) * (1.0 - 1e-12)))[0]
         if len(stale):
-            tree = cKDTree(S)
             sub = cols[:, stale]
             d2, i2 = tree.query(sub.T, k=2)
             tie = d2[:, 0] == d2[:, 1]
@@ -348,14 +355,22 @@ def _lloyd_restart(cols, S, p, cfg):
         S_new, _ = _centers_update(cols, assign, S, p, dist)
         shift = np.linalg.norm(S_new - S, axis=1)
         # Rounding may only lower the bound. Each shift gets a relative slack
-        # of 1e-12, far above its few-ulp error, and each subtraction rounds
-        # down, so its error cannot build up over iterations. The few-ulp
-        # errors of the tree's second distance and of dist scale with that
-        # distance, at most lower + the shifts taken off it, which the two
-        # 1e-12 slacks (here and in the keep test) cover.
+        # of 1e-12, far above its few-ulp error. Each subtraction then rounds
+        # down, so its error cannot build up over iterations: for a positive
+        # normal x the exact x (1 - 2^-52) is at most x - ulp(x), a float, so
+        # the rounded product is at most x - ulp(x) too, below x by more than
+        # the subtraction's half-ulp error. A subtraction whose result is
+        # subnormal is exact, and a bound at or below zero keeps no point.
+        # The few-ulp errors of the tree's second distance and of dist scale
+        # with that distance, at most lower + the shifts taken off it, which
+        # the two 1e-12 slacks (here and in the keep test) cover.
         lower -= (_other_max(shift) * (1.0 + 1e-12))[assign]
-        np.nextafter(lower, -np.inf, out=lower)
+        lower *= 1.0 - 2.0 ** -52
         S = S_new
+        # one tree of the new sites: their separations (inf at N = 1, 0 for
+        # coincident sites) and the next pass's re-queries
+        tree = cKDTree(S)
+        half = 0.5 * tree.query(S, k=2)[0][:, 1]
     return S, v_hist, converged, requeried
 
 
@@ -364,10 +379,13 @@ def lloyd(m: Measure, N: int, p, cfg: SolverConfig | None = None, seed=0) -> Qua
 
     The working-sample objective V_p is non-increasing across iterations
     (empty cells reseed at the farthest sample point, which preserves
-    descent). Each restart makes one k=2 kd-tree query, then re-queries
-    only the points whose distance bound fails (`_lloyd_restart`), with the
-    results of a full query in every iteration; details["requeried"] counts
-    them per iteration. The returned error is re-evaluated independently:
+    descent). Each restart queries every point once on a k=2 kd-tree, then
+    re-queries only the points that fail both of Hamerly's tests
+    (`_lloyd_restart`): a point keeps its site while its distance to it is
+    below its bound on the distance to every other site, or below half the
+    distance from its site to the nearest other site. Every iteration gives
+    the results of a full query; details["requeried"] counts the queried
+    points per iteration. The returned error is re-evaluated independently:
     exact quadrature for 1D densities and curves, Monte Carlo otherwise.
     """
     p = check_order(p)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +114,16 @@ def test_cell_center_beats_perturbations():
 def test_cell_center_rejects_infinite_p():
     with pytest.raises(ValueError, match="finite p"):
         ql.cell_center([[0.0], [1.0]], None, np.inf)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_cell_center_reads_a_flat_list_as_points_on_a_line(p):
+    flat, column = [0.0, 1.0, 5.0], [[0.0], [1.0], [5.0]]
+    c = ql.cell_center(flat, None, p)
+    assert c.shape == (1,)
+    assert np.array_equal(c, ql.cell_center(column, None, p))
+    assert np.array_equal(ql.cell_center(flat, [1.0, 2.0, 3.0], p),
+                          ql.cell_center(column, [1.0, 2.0, 3.0], p))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +286,79 @@ def test_bounded_lloyd_high_dimension():
     assert len(v_hist) == len(v_ref)
     assert np.allclose(v_hist, v_ref, rtol=1e-14, atol=0.0)
     assert sum(requeried) < len(W) * len(v_hist)
+
+
+def _separation_case(name):
+    """(W, S0) for the edge cases of the keep test on half the separation."""
+    rng = np.random.default_rng(11)
+    if name == "one site":  # no other site: half is inf
+        return rng.random((200, 2)), np.array([[0.9, 0.1]])
+    if name == "coincident sites":  # half is 0, and the reseed lands on a site
+        return np.repeat([[0.0], [1.0]], 3, axis=0), np.array([[0.0], [0.0], [1.0]])
+    # at p in {2, 3} one step moves the sites to -1 and 3. The point 1 is
+    # then at their midpoint. The point 2 fails its lower bound (2 less the
+    # other site's shift of 1 and the slack, against a distance of 1) but is
+    # inside half the separation (2)
+    return np.array([[-3.0], [-1.0], [1.0], [2.0], [4.0]]), np.array([[0.0], [3.0]])
+
+
+@pytest.mark.parametrize("name, p, queried", [
+    *((name, p, queried) for name, queried in (("one site", 0), ("coincident sites", 3))
+      for p in (1.0, 2.0, 3.0)),
+    ("midpoint", 2.0, 1), ("midpoint", 3.0, 1)])  # at p = 1 the right site moves to 2
+def test_separation_test_edge_cases_match_full_query(name, p, queried):
+    W, S0 = _separation_case(name)
+    cols = np.ascontiguousarray(W.T)
+    cfg = ql.SolverConfig(max_iters=8, rel_tol=1e-12)
+    S, v_hist, converged, requeried = _lloyd_restart(cols, S0.copy(), p, cfg)
+    S_ref, v_ref, conv_ref, _ = _full_query_restart(W, S0.copy(), p, cfg)
+    assert np.array_equal(S, S_ref)
+    assert v_hist == v_ref
+    assert converged == conv_ref
+    # the second pass queries only the points no test keeps: none at N = 1,
+    # the points at the coincident sites, and the point at the midpoint
+    assert requeried[0] == len(W) and requeried[1] == queried
+
+
+def test_bounded_lloyd_requeries_few_points_on_a_curve():
+    cfg = ql.SolverConfig(restarts=1, max_iters=40, working_sample=4000,
+                          eval_samples=1000, rel_tol=1e-12)
+    q = ql.lloyd(ql.hausdorff_curve_measure(ql.quarter_circle(256)), 12, 2, cfg, seed=3)
+    requeried = q.provenance.details["requeried"]
+    assert len(requeried) > 20
+    # points well inside their cell are kept by half the separation even
+    # while every site moves; the lower bound alone re-queried 3.3% a pass
+    assert np.mean(requeried[10:]) < 0.015 * 4000
+
+
+_NORMAL = np.finfo(float).tiny
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(min_value=_NORMAL, max_value=np.finfo(float).max))
+@example(x=_NORMAL)
+@example(x=np.finfo(float).max)
+@example(x=1.0)
+@example(x=2.0 ** -1000)
+@example(x=2.0 ** 1000)
+@example(x=np.nextafter(2.0, 0.0))
+def test_bound_rounding_multiply_lowers_every_positive_normal(x):
+    # at least one ulp below x, as np.nextafter(x, -inf) was
+    assert x * (1.0 - 2.0 ** -52) <= np.nextafter(x, 0.0) < x
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(0.0, np.finfo(float).max), t=st.floats(0.0, np.finfo(float).max))
+@example(a=1.0, t=1.0 - 2.0 ** -53)
+@example(a=3 * _NORMAL, t=2.5 * _NORMAL)  # a subnormal difference
+@example(a=0.0, t=1.0)
+def test_lowered_bound_stays_a_lower_bound(a, t):
+    # a distance is at least a - t exactly, and at least 0: Lloyd's bound
+    # update may not rise above either
+    lower = np.array([a])
+    lower -= t
+    lower *= 1.0 - 2.0 ** -52
+    assert Fraction(float(lower[0])) <= max(Fraction(a) - Fraction(t), Fraction(0))
 
 
 # --- distances summed over coordinate columns --------------------------------
