@@ -19,6 +19,7 @@ from .error import check_order
 from .measures import Measure, derive_seed, restrict, sample
 from .solvers import (Dp1dSolver, SolverConfig, auto_solver,
                       cantor_covering_radius, lloyd)
+from .spatial import _as_points
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def optimal_allocation(alpha, p, s: float) -> AllocationResult:
 
 def spatial_histogram(points, regions) -> np.ndarray:
     """Fraction of quantizer points in each of a list of disjoint regions."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _as_points(points)
     counts = np.zeros(len(regions))
     for x in pts:
         hits = [i for i, reg in enumerate(regions) if bool(reg(x))]

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .spatial import PointCloud
+from .spatial import PointCloud, _as_points
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -451,10 +451,15 @@ def uniform_box(lo, hi) -> Measure:
 
 
 def empirical(points, weights=None) -> Measure:
-    """Empirical measure of a weighted cloud (samples with replacement)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """Empirical measure of a weighted cloud (samples with replacement); a flat
+    list is n points in R^1. Weights must be finite, non-negative, one per
+    point and not all zero."""
+    pts = _as_points(points)
     n, d = pts.shape
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
+    if n == 0 or not (w.shape == (n,) and np.all(np.isfinite(w) & (w >= 0)) and w.any()):
+        raise ValueError("empirical needs points, and weights that are finite and "
+                         "non-negative, one per point, not all zero")
     total = float(w.sum())
     probs = w / total
 

@@ -420,6 +420,15 @@ def lloyd(m: Measure, N: int, p, cfg: SolverConfig | None = None, seed=0) -> Qua
 # ---------------------------------------------------------------------------
 # exact 1D dynamic programming
 
+def _p2_costs(mass, m1, m2):
+    """p = 2 cell costs m2 - m1^2 / mass from each cell's moments (0 without
+    mass), in place on m1 and m2; the DP build and the oracle share it."""
+    m1 *= m1
+    m1 /= np.maximum(mass, 1e-300)
+    m2 -= m1
+    return np.where(mass > 0, np.maximum(m2, 0.0, out=m2), 0.0)
+
+
 class _CellOracle:
     """Optimal single-point cost of interval cells [l, r] for one (law, p).
 
@@ -449,11 +458,10 @@ class _CellOracle:
             m0l, m1l, m2l = moments_l if moments_l is not None else self.law.moments(ls)
             m0r, m1r, m2r = moments_r if moments_r is not None else self.law.moments(rs)
             mass = m0r - m0l
-            safe = np.maximum(mass, 1e-300)
             if self.p == 2.0:
-                centers = np.where(mass > 0, (m1r - m1l) / safe, 0.5 * (ls + rs))
-                costs = np.maximum((m2r - m2l) - (m1r - m1l) ** 2 / safe, 0.0)
-                return centers, np.where(mass > 0, costs, 0.0)
+                m1 = m1r - m1l
+                centers = np.where(mass > 0, m1 / np.maximum(mass, 1e-300), 0.5 * (ls + rs))
+                return centers, _p2_costs(mass, m1, m2r - m2l)
             med = self.law.ppf(0.5 * (m0l + m0r))
             med = np.where(mass > 0, med, 0.5 * (ls + rs))
             m0m, m1m, _ = self.law.moments(med)
@@ -516,40 +524,50 @@ class _CellOracle:
         return out
 
 
-def _layer_min(D, cost, k):
+def _split_tree(G):
+    """Divide-and-conquer levels over rows 1..G, each (mid, below, above): a
+    range [lo, hi] splits at mid = (lo + hi) // 2 and is bounded by rows lo - 1
+    and hi + 1. A level lists its ranges left to right, so its mids increase."""
+    levels, lo, hi = [], np.array([1]), np.array([G])
+    while lo.size:
+        mid = (lo + hi) // 2
+        levels.append((mid, lo - 1, hi + 1))
+        lo, hi = np.c_[lo, mid + 1].ravel(), np.c_[mid - 1, hi].ravel()
+        lo, hi = lo[lo <= hi], hi[lo <= hi]
+    return levels
+
+
+def _layer_min(D, cost, k, tree):
     """One DP layer: E[j] = min over i of cost(i, j) + D[i], with its argmin.
 
-    Rows j < k cannot hold k cells and stay at inf (argmin 0). The lowest
-    argmin is nondecreasing in j, so rows are solved by divide and conquer:
-    each recursion level takes the middle row of every open row range, scans
-    only the candidates between the argmins of the rows bounding it, and
-    splits the range there. A level is vectorised across all its ranges, so a
-    layer costs O(G log G) cell costs and O(G) memory. Ties go to the lowest
-    candidate, as with np.argmin.
+    The lowest argmin is nondecreasing in j, so rows are solved by divide and
+    conquer over the build's one `_split_tree`: a level's middle row scans
+    only the candidates from the argmin of the row bounding its range below
+    to that of the row above (at most mid - 1). Rows j < k cannot hold k cells:
+    they stay at inf with the sentinel argmin k - 1 (row 0 too; row G + 1
+    holds G), and a level starts at its first middle row >= k; with k <= G/2
+    there is one, as a right child is never the smaller. A level is
+    vectorised across its ranges: O(G log G) cell costs and O(G) memory per
+    layer. Ties go to the lowest candidate, as with np.argmin.
     """
     G = D.size - 1
     E = np.full(G + 1, np.inf)
-    arg = np.zeros(G + 1, dtype=np.int32)
-    # open row ranges [jlo, jhi] with candidate ranges [ilo, ihi]
-    jlo, jhi = np.array([k]), np.array([G])
-    ilo, ihi = np.array([k - 1]), np.array([G - 1])
-    while jlo.size:
-        mid = (jlo + jhi) // 2
-        n = np.minimum(ihi, mid - 1) - ilo + 1
-        starts = np.cumsum(n) - n
-        i = np.arange(starts[-1] + n[-1]) - np.repeat(starts - ilo, n)
-        v = cost(i, np.repeat(mid, n)) + D[i]
+    arg = np.empty(G + 2, dtype=np.intp)
+    arg[:k], arg[G + 1] = k - 1, G
+    for mid, below, above in tree:
+        s = mid.searchsorted(k)
+        mid, lo = mid[s:], arg.take(below[s:])
+        n = np.minimum(arg.take(above[s:]), mid - 1) - lo + 1
+        starts = n.cumsum() - n
+        i = np.arange(starts[-1] + n[-1])
+        i += (lo - starts).repeat(n)
+        v = cost(i, mid.repeat(n))
+        v += D.take(i)
         best = np.minimum.reduceat(v, starts)
-        hits = np.flatnonzero(v == np.repeat(best, n))
-        opt = i[hits[np.searchsorted(hits, starts)]]
+        hits = (v == best.repeat(n)).nonzero()[0]
         E[mid] = best
-        arg[mid] = opt
-        left, right = jlo < mid, mid < jhi
-        jlo, jhi, ilo, ihi = (np.concatenate([jlo[left], mid[right] + 1]),
-                              np.concatenate([mid[left] - 1, jhi[right]]),
-                              np.concatenate([ilo[left], opt[right]]),
-                              np.concatenate([opt[left], ihi[right]]))
-    return E, arg
+        arg[mid] = i.take(hits.take(hits.searchsorted(starts)))
+    return E, arg[:-1]
 
 
 class Dp1dSolver:
@@ -561,12 +579,14 @@ class Dp1dSolver:
     integrated piecewise by `Law1D.cell_integral` around a centre found by
     safeguarded Newton (other p, `_CellOracle._centers`), and come on demand.
     Every layer is a monotone row minimum solved by divide and conquer in
-    O(G log G) cell costs; the solver keeps the (n_max, G) backpointers. A
-    cost that is not closed-form (p = 1 or general p on a non-constant law)
-    is priced once per build: the build holds a memo of 8 (G+1)^2 bytes and
-    drops it when it returns. `solve` refines the grid solution to the
-    continuum stationary point by a safeguarded Newton loop, whose Newton
-    steps are kept only when they do not raise the cost.
+    O(G log G) cell costs, over one split tree of the rows built once; layer
+    k skips the rows below k, held at a sentinel argmin (`_layer_min`). The
+    solver keeps the (n_max, G) backpointers. A cost that is not closed-form
+    (p = 1 or general p on a non-constant law) is priced once per build: the
+    build holds a memo of 8 (G+1)^2 bytes, hit often as every layer splits
+    the same rows, and drops it when it returns. `solve` refines the grid
+    solution to the continuum stationary point by a safeguarded Newton loop,
+    whose Newton steps are kept only when they do not raise the cost.
     """
 
     _TOL = 1e-13  # refinement stops at a stationarity residual below _TOL * span
@@ -601,30 +621,34 @@ class Dp1dSolver:
         D[1:] = cost(np.zeros(G, dtype=int), np.arange(1, G + 1))
         back = np.zeros((self.n_max + 1, G + 1), dtype=np.int32)
         self._grid_V = {1: float(D[G])}
+        tree = _split_tree(G)
         for k in range(2, self.n_max + 1):
-            D, back[k] = _layer_min(D, cost, k)
+            D, back[k] = _layer_min(D, cost, k, tree)
             self._grid_V[k] = float(D[G])
         self._back = back
 
     def _costs(self):
         """cost(i, j): optimal cost of the cells [grid[i], grid[j]], i < j.
 
-        The constant-density closed form and p = 2 from the nodal moments are
-        recomputed on every call: that is cheaper than a lookup, and p = 2's
-        2048-cell default grid would need a 33.6 MB memo. Every other cost is
-        priced once: a memo of 8 (G+1)^2 bytes, indexed by grid indices and
-        NaN until priced, lives as long as the returned function, i.e. for the
-        build. Later layers ask mostly for cells earlier ones priced, and a
-        cost depends only on its own cell, so the memo changes no bit.
+        The constant-density closed form and p = 2, from the nodal moment
+        columns with no centre, are recomputed on every call: that is cheaper
+        than a lookup, and p = 2's 2048-cell default grid would need a 33.6 MB
+        memo. Every other cost is priced once: a memo of 8 (G+1)^2 bytes,
+        indexed by grid indices and NaN until priced, lives as long as the
+        returned function, i.e. for the build. Later layers ask mostly for
+        cells earlier ones priced, and a cost depends only on its own cell, so
+        the memo changes no bit.
         """
         grid, oracle = self.grid, self.oracle
         if oracle.constant is not None or self.p not in (1.0, 2.0):
             price = lambda i, j: oracle.centers_costs(grid[i], grid[j])[1]
         else:
             nodal = oracle.law.moments(grid)  # one pass; cells index into it
+            if self.p == 2.0:
+                return lambda i, j: _p2_costs(*(nodal.take(j, 1) - nodal.take(i, 1)))
             price = lambda i, j: oracle.centers_costs(
                 grid[i], grid[j], moments_l=nodal.take(i, 1), moments_r=nodal.take(j, 1))[1]
-        if oracle.constant is not None or self.p == 2.0:
+        if oracle.constant is not None:
             return price
         memo = np.full((grid.size, grid.size), np.nan)
 

@@ -185,6 +185,12 @@ def test_spatial_histogram_overlap_rejected():
                              [lambda x: x[0] < 1, lambda x: x[0] > 0])
 
 
+def test_spatial_histogram_reads_a_flat_list_as_points_on_a_line():
+    # np.atleast_2d read [0.1, 0.6, 0.7] as one point in R^3, giving [1, 0]
+    fr = ql.spatial_histogram([0.1, 0.6, 0.7], [lambda x: x[0] < 0.5, lambda x: x[0] >= 0.5])
+    assert np.array_equal(fr, [1 / 3, 2 / 3])
+
+
 def test_spatial_histogram_uniform_split():
     m = ql.uniform_interval()
     q = ql.dp_optimal_1d(m, 100, 2)

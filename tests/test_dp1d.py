@@ -173,6 +173,58 @@ def test_dp_matches_dense_layer_min_on_breakpoint_nodes(intervals, G, p):
         assert np.array_equal(solver.grid_boundaries(N), boundaries(N))
 
 
+@pytest.mark.parametrize("G, n_max", [(100, 25), (90, 22), (70, 17)])
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+def test_dp_matches_dense_layer_min_on_near_ties(G, n_max, p):
+    # uniform cells differ only by the rounding of their grid ends, so many
+    # boundaries tie to an ulp; a floor carried over from the layer before
+    # (argmin at layer k >= argmin at layer k - 1) picked 85 for the dense 84
+    # at G=100, p=1, N=14, at an equal value
+    solver = ql.Dp1dSolver(ql.uniform_interval(), p, n_max=n_max, grid_size=G)
+    values, boundaries = dense_dp(solver)
+    for N in range(1, n_max + 1):
+        assert solver.grid_value(N) == values[N]
+        assert np.array_equal(solver.grid_boundaries(N), boundaries(N))
+
+
+@pytest.mark.parametrize("m", [ql.density1d(lambda x: 2 * np.asarray(x), (0, 1)),
+                               _step_density(),
+                               ql.piecewise_uniform([(0.0, 0.25), (0.75, 1.0)])],
+                         ids=["2x", "step", "gapped"])
+def test_p2_build_prices_cells_as_the_oracle(m):
+    # the build prices p = 2 cells from the nodal moment columns, without the
+    # oracle; a cell must cost the same bits either way, massless ones included
+    solver = ql.Dp1dSolver(m, 2, n_max=4, grid_size=128)
+    rng = np.random.default_rng(3)
+    i, j = np.sort(rng.choice(129, size=(2000, 2)), axis=1).T
+    i, j = i[i < j], j[i < j]
+    i, j = np.r_[i, 33, 40, 64], np.r_[j, 34, 60, 96]  # inside the gapped law's gap
+    nodal = solver.oracle.law.moments(solver.grid)
+    _, ref = solver.oracle.centers_costs(solver.grid[i], solver.grid[j],
+                                         moments_l=tuple(a[i] for a in nodal),
+                                         moments_r=tuple(a[j] for a in nodal))
+    built = solver._costs()(i, j)
+    assert np.array_equal(built, ref)
+    assert np.array_equal(built, solver.oracle.centers_costs(solver.grid[i],
+                                                             solver.grid[j])[1])
+
+
+def test_p3_build_reuses_the_rows_of_its_split_tree(monkeypatch):
+    # every layer splits the same rows, so later layers ask mostly for cells
+    # the memo holds: a tree rebuilt per layer priced 13595 distinct cells
+    m = ql.density1d(lambda x: 2 * np.asarray(x), (0, 1))
+    seen = []
+    batch = ql.solvers._CellOracle.centers_costs
+
+    def recorded(self, ls, rs, *args, **kwargs):
+        seen.append(np.size(ls))
+        return batch(self, ls, rs, *args, **kwargs)
+
+    monkeypatch.setattr(ql.solvers._CellOracle, "centers_costs", recorded)
+    ql.Dp1dSolver(m, 3, n_max=64, grid_size=256)
+    assert sum(seen) <= 9000
+
+
 @pytest.mark.parametrize("p", [1.25, 1.5])
 @pytest.mark.parametrize("N", [4, 8])
 def test_plain_function_uniform_density_is_exact(p, N):
@@ -295,7 +347,9 @@ def test_p3_centers_take_few_kernel_passes(monkeypatch):
     grid = np.linspace(0.0, 1.0, 257)
     ii, jj = np.triu_indices(257, k=1)
     oracle.centers_costs(grid[ii], grid[jj])
-    solver = ql.Dp1dSolver(m, 3, n_max=16, grid_size=128)
+    # n_max = 24: every layer splits the same rows, so the build's memo holds
+    # more of the cells it asks for and it sends fewer batches per layer
+    solver = ql.Dp1dSolver(m, 3, n_max=24, grid_size=128)
     for N in (1, 2, 7, 16):
         solver.solve(N)
     assert len(passes) > 100 and max(passes) <= 14

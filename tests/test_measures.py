@@ -33,6 +33,21 @@ def test_sampler_determinism_all_kinds():
         assert np.array_equal(a.points, b.points), m.kind
 
 
+def test_empirical_reads_a_flat_list_as_points_on_a_line():
+    # np.atleast_2d read [0, 1, 3] as one atom in R^3
+    m = ql.empirical([0.0, 1.0, 3.0])
+    assert m.ambient_dim == 1
+    assert set(ql.sample(m, 200, seed=1).points.ravel()) == {0.0, 1.0, 3.0}
+
+
+@pytest.mark.parametrize("weights", [[1.0, np.nan, 1.0], [1.0, -0.5, 1.0], [1.0, 1.0],
+                                     [[1.0, 1.0, 1.0]], [0.0, 0.0, 0.0]],
+                         ids=["nan", "negative", "short", "nested", "zero"])
+def test_empirical_rejects_bad_weights(weights):
+    with pytest.raises(ValueError, match="weights"):
+        ql.empirical([[0.0], [1.0], [3.0]], weights)
+
+
 def test_density1d_linear_mean():
     # oracle: int 2x * x dx = 2/3 by direct integration
     oracle, _ = quad(lambda x: 2 * x * x, 0, 1)
