@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .error import check_order
+from .error import check_finite_order, check_order
 from .measures import Measure, derive_seed, restrict, sample
 from .solvers import (Dp1dSolver, SolverConfig, auto_solver,
                       cantor_covering_radius, lloyd)
@@ -135,9 +135,7 @@ def estimate_coefficients(series: CoeffSeries, tail_fraction: float = 0.5
 
 def zador_constant_1d(p) -> float:
     """C_{p,1} = (1 / (2^p (p+1)))^(1/p), the interval quantization constant."""
-    p = check_order(p)
-    if math.isinf(p):
-        raise ValueError("no closed form for p = inf")
+    p = check_finite_order(p)
     return (1.0 / (2.0 ** p * (p + 1.0))) ** (1.0 / p)
 
 
@@ -150,9 +148,7 @@ def zador_functional(m: Measure, m_dim: int, p, n_mc: int = 1 << 16, seed=0) -> 
     E_mu[rho^(-p/(d+p))]. The singular kinds without a density (empirical,
     IFS) contribute zero; any other measure without a density is an error.
     """
-    p = check_order(p)
-    if math.isinf(p):
-        raise ValueError("the functional is defined for finite p")
+    p = check_finite_order(p)
     exponent = m_dim / (m_dim + p)
     outer = (m_dim + p) / (m_dim * p)
 

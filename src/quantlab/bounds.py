@@ -20,9 +20,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .asymptotics import p_prime
-from .error import check_order
+from .error import check_finite_order, check_order
 from .measures import _GL_NODES, _GL_WEIGHTS, Measure, derive_seed, sample
-from .spatial import omega
+from .spatial import _as_point, omega
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,7 @@ def density_bound_constants(p, s: float):
     C1 = 2^(-p') omega_s^(-p/(s+p)) (s/(s+p))^(s/(s+p)) multiplies the lower
     integral, C2 = 2^(p') omega_s^(-p/(s+p)) the upper one.
     """
-    p = check_order(p)
-    if math.isinf(p):
-        raise ValueError("constants defined for finite p")
+    p = check_finite_order(p)
     if s <= 0:
         raise ValueError("s must be positive")
     pp = p_prime(p, s)
@@ -66,9 +64,7 @@ def theta_raw_from_density(theta_density: float, s: float) -> float:
 
 def conc_lower_bound(theta: float, s: float, p, mass: float) -> BoundReport:
     """Lower bound on the lower coefficient from nu(A cap B_r) <= theta r^s."""
-    p = check_order(p)
-    if math.isinf(p):
-        raise ValueError("finite p only")
+    p = check_finite_order(p)
     if theta <= 0:
         raise ValueError("theta must be positive")
     if mass < 0:
@@ -137,9 +133,7 @@ def rand_quant_integrand(ball_fn, p, s: float, N: int, breakpoints=()) -> float:
     two differ by more than 1e-13 + 1e-10 |sum|, and then adaptive `quad`
     integrates the piece.
     """
-    p = check_order(p)
-    if math.isinf(p):
-        raise ValueError("finite p only")
+    p = check_finite_order(p)
     if N < 1:
         raise ValueError("N must be >= 1")
 
@@ -173,9 +167,7 @@ def measure_ball_fn(nu: Measure, x):
     function: one `cdf` pass for a 1D law, else the ball function per radius."""
     if nu.ball_measure is None:
         raise ValueError("measure has no exact ball function")
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != nu.ambient_dim:
-        raise ValueError(f"x has {x.size} coordinates, the measure {nu.ambient_dim}")
+    x = _as_point(x, nu.ambient_dim)
     if nu.law is not None:
         return lambda r, _x=x: nu.ball_measure(_x, r)
     return np.vectorize(lambda r, _x=x: nu.ball_measure(_x, float(r)), otypes=[float])
@@ -233,7 +225,7 @@ class RadialMeasure:
         self.ball_mass = ball_mass
         self.sample_annulus = sample_annulus
         self.ambient_dim = ambient_dim
-        self.x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        self.x0 = _as_point(x0, ambient_dim)
 
 
 def lebesgue_halfline() -> RadialMeasure:
@@ -299,7 +291,7 @@ def decaying_mixture(nu: RadialMeasure, x0, alpha: float, beta: float,
     lam_kept = lam[keep] / lam[keep].sum()
     idx_kept = np.nonzero(keep)[0]
 
-    x0v = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0v = _as_point(x0, nu.ambient_dim)
 
     def sampler(rng, n, _nu=nu, _lam=lam_kept, _idx=idx_kept):
         ks = rng.choice(len(_lam), size=n, p=_lam)
@@ -315,7 +307,7 @@ def decaying_mixture(nu: RadialMeasure, x0, alpha: float, beta: float,
                    for i in idx_kept)
 
     def ball(x, r, _x0=x0v):
-        if not np.allclose(np.atleast_1d(np.asarray(x, dtype=float)), _x0):
+        if not np.allclose(_as_point(x, _x0.size), _x0):
             raise ValueError("mixture ball measure is exact only at its center")
         total = 0.0
         for w, (r_in, r_out, m_in, m_out) in zip(lam_kept, annuli):

@@ -30,7 +30,7 @@ from .measures import (Curve, IfsSpec, curve_measure, density1d,
                        ifs_measure, quarter_circle, sample, uniform_box)
 from .solvers import (SolverConfig, auto_solver, cantor_covering_radius,
                       dp_optimal_1d, farthest_point_cover, lloyd)
-from .spatial import SpatialIndex, hausdorff_density
+from .spatial import SpatialIndex, _as_points, hausdorff_density
 
 TASKS = ("quantize", "error", "coeff", "zador-check", "density", "bounds",
          "distribution", "cantor")
@@ -160,7 +160,7 @@ def build_measure(spec: dict):
         return density1d(fn, (lo, hi))
     if kind == "curve":
         if "vertices" in spec:
-            c = Curve(np.asarray(spec["vertices"], dtype=float))
+            c = Curve(spec["vertices"])
         elif spec.get("shape") == "quarter-circle":
             c = quarter_circle(spec.get("segments", 1024))
         else:
@@ -364,7 +364,7 @@ def write_series_csv(path, series):
 
 
 def write_quantizer_csv(path, points):
-    points = np.atleast_2d(points)
+    points = _as_points(points)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f"x{i}" for i in range(points.shape[1])])

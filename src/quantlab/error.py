@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from .measures import Measure
-from .spatial import _as_points
+from .spatial import _as_sites
 
 INF = math.inf
 
@@ -26,6 +26,14 @@ def check_order(p) -> float:
     p = float(p)
     if not p >= 1.0:
         raise ValueError("order p must satisfy p >= 1")
+    return p
+
+
+def check_finite_order(p) -> float:
+    """`check_order` for the routines defined at finite p only."""
+    p = check_order(p)
+    if math.isinf(p):
+        raise ValueError("defined for finite p only")
     return p
 
 
@@ -76,9 +84,7 @@ def error_exact_1d(m: Measure, S, p) -> ErrorEstimate:
     p = check_order(p)
     if m.law is None or m.kind != "density1d":
         raise ValueError("error_exact_1d needs a density1d measure")
-    s = np.unique(np.asarray(S, dtype=float).ravel())
-    if s.size == 0:
-        raise ValueError("empty site list")
+    s = np.unique(_as_sites(S, 1))
     law = m.law
     edges = np.concatenate([[law.lo], np.clip(0.5 * (s[:-1] + s[1:]), law.lo, law.hi),
                             [law.hi]])
@@ -152,9 +158,7 @@ def error_curve(m: Measure, S, p) -> ErrorEstimate:
     p = check_order(p)
     if m.kind != "curve":
         raise ValueError("error_curve needs a curve measure")
-    S = _as_points(S, d=m.curve.d)
-    if S.shape[0] == 0:
-        raise ValueError("empty site list")
+    S = _as_sites(S, m.curve.d)
     law, cum, tree = m.law, m.curve.cum_length, cKDTree(S)
     E = np.unique(np.clip(np.r_[_cuts(m.curve, S, tree), law.grid],
                           max(law.lo, 0.0), min(law.hi, cum[-1])))
@@ -184,10 +188,7 @@ def error_mc(m: Measure, S, p, n: int, seed) -> ErrorEstimate:
         raise ValueError("n must be >= 100")
     from .measures import sample as sample_measure
 
-    cloud = sample_measure(m, n, seed)
-    S = _as_points(S, d=cloud.d)
-    tree = cKDTree(S)
-    dist, _ = tree.query(cloud.points)
+    dist = cKDTree(_as_sites(S, m.ambient_dim)).query(sample_measure(m, n, seed).points)[0]
 
     if math.isinf(p):
         return ErrorEstimate(float(dist.max()), 0.0, n, "sample-max")

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .spatial import PointCloud, _as_points
+from .spatial import PointCloud, _as_point, _as_points, _as_weights, cloud_from_points
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -208,7 +208,7 @@ class Curve:
     cum_length: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        v = _as_points(self.vertices)
         if v.shape[0] < 2:
             raise ValueError("a curve needs at least two vertices")
         seg = np.linalg.norm(np.diff(v, axis=0), axis=1)
@@ -248,18 +248,14 @@ class IfsSpec:
 
     def __post_init__(self):
         r = np.asarray(self.ratios, dtype=float).ravel()
-        off = np.atleast_2d(np.asarray(self.offsets, dtype=float))
+        off = _as_points(self.offsets)  # one row per map
         if off.shape[0] != r.size:
-            off = off.T
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if not (r.size == off.shape[0] == w.size):
-            raise ValueError("maps and weights length mismatch")
+            raise ValueError("maps and offsets length mismatch")
+        w = _as_weights(self.weights, r.size)
         if np.any(r <= 0) or np.any(r >= 1):
             raise ValueError("contraction ratios must lie in (0, 1)")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
         if r.size < 2:
             raise ValueError("degenerate IFS: no positive similarity dimension")
         object.__setattr__(self, "ratios", r)
@@ -312,14 +308,14 @@ class Measure:
 
 
 def sample(m: Measure, n: int, seed) -> PointCloud:
-    """n i.i.d. draws from the (normalized) measure, weights 1/n each."""
+    """n i.i.d. draws from the (normalized) measure, weights 1/n each, read as a
+    `PointCloud` whose points must have the measure's ambient_dim coordinates."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    pts = np.atleast_2d(m.sample_rng(rng, n))
-    if pts.shape[0] != n:
-        pts = pts.reshape(n, -1)
-    return PointCloud(pts, np.full(n, 1.0 / n))
+    cloud = PointCloud(m.sample_rng(np.random.default_rng(seed), n), np.full(n, 1.0 / n))
+    if cloud.d != m.ambient_dim:
+        raise ValueError(f"draws have {cloud.d} coordinates, the measure {m.ambient_dim}")
+    return cloud
 
 
 def _normalized(law: Law1D) -> Law1D:
@@ -344,7 +340,7 @@ def density1d(pdf, support, breakpoints=(), normalize=True, label="") -> Measure
         kind="density1d", ambient_dim=1, intrinsic_dim=1.0, total_mass=law.mass,
         sampler=lambda rng, n, _l=law: _l.sample(rng, n).reshape(n, 1),
         density=lambda x, _l=law: np.asarray(_l.pdf(np.asarray(x, dtype=float))),
-        ball_measure=lambda x, r, _l=law: _l.ball_mass(float(np.ravel(x)[0]), r),
+        ball_measure=lambda x, r, _l=law: _l.ball_mass(float(_as_point(x, 1)[0]), r),
         law=law, support_box=((lo,), (hi,)), label=label or "density1d",
     )
 
@@ -438,36 +434,32 @@ def uniform_box(lo, hi) -> Measure:
     ball = None
     if d == 2:
         def ball(x, r, _lo=lo, _hi=hi, _rho=rho):
-            x = np.asarray(x, dtype=float).ravel()
+            x = _as_point(x, 2)
             return _rho * disk_box_area(x[0], x[1], r, _lo[0], _hi[0], _lo[1], _hi[1])
 
     return Measure(
         kind="uniform-box", ambient_dim=d, intrinsic_dim=float(d), total_mass=1.0,
         sampler=lambda rng, n, _lo=lo, _hi=hi: rng.uniform(_lo, _hi, size=(n, d)),
-        density=lambda x, _r=rho: np.full(np.atleast_2d(x).shape[0], _r),
+        density=lambda x, _r=rho, _d=d: np.full(len(_as_points(x, _d)), _r),
         ball_measure=ball, support_box=(tuple(lo), tuple(hi)),
         label=f"uniform-box(d={d})",
     )
 
 
 def empirical(points, weights=None) -> Measure:
-    """Empirical measure of a weighted cloud (samples with replacement); a flat
-    list is n points in R^1. Weights must be finite, non-negative, one per
-    point and not all zero."""
-    pts = _as_points(points)
-    n, d = pts.shape
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
-    if n == 0 or not (w.shape == (n,) and np.all(np.isfinite(w) & (w >= 0)) and w.any()):
-        raise ValueError("empirical needs points, and weights that are finite and "
-                         "non-negative, one per point, not all zero")
-    total = float(w.sum())
-    probs = w / total
+    """Empirical measure of a weighted cloud (samples with replacement), read
+    as a `PointCloud`: a flat list is n points in R^1, and weights (uniform
+    by default) are finite, non-negative, one per point and not all zero."""
+    cloud = cloud_from_points(points, weights)
+    if cloud.n == 0:
+        raise ValueError("empirical needs a non-empty point list")
+    total = float(cloud.weights.sum())
 
-    def sampler(rng, k, _p=pts, _w=probs):
+    def sampler(rng, k, _p=cloud.points, _w=cloud.weights / total):
         idx = rng.choice(len(_p), size=k, p=_w)
         return _p[idx]
 
-    return Measure(kind="empirical", ambient_dim=d, intrinsic_dim=0.0,
+    return Measure(kind="empirical", ambient_dim=cloud.d, intrinsic_dim=0.0,
                    total_mass=total, sampler=sampler, label="empirical")
 
 
@@ -568,7 +560,7 @@ def cantor_net(depth: int) -> PointCloud:
     """All level-depth cylinder endpoints (exact extreme points of the set)."""
     left = cantor_cylinders(depth)
     pts = np.sort(np.concatenate([left, left + 3.0 ** (-depth)]))
-    return PointCloud(pts.reshape(-1, 1), np.full(pts.size, 1.0 / pts.size))
+    return PointCloud(pts, np.full(pts.size, 1.0 / pts.size))
 
 
 def restrict(m: Measure, predicate) -> Measure:
@@ -580,9 +572,8 @@ def restrict(m: Measure, predicate) -> Measure:
     curve or ball function, so evaluators treat it as a sampled measure.
     """
     rng = np.random.default_rng(derive_seed(_CALIBRATION_SEED, m.kind, m.label))
-    cal = np.atleast_2d(m.sample_rng(rng, _CALIBRATION_N))
-    keep = np.asarray([bool(predicate(p)) for p in cal])
-    rate = float(keep.mean())
+    cal = _as_points(m.sample_rng(rng, _CALIBRATION_N), m.ambient_dim)
+    rate = np.count_nonzero([bool(predicate(p)) for p in cal]) / _CALIBRATION_N
     if rate < 1e-4:
         raise ValueError("region too small")
 
@@ -590,7 +581,7 @@ def restrict(m: Measure, predicate) -> Measure:
         out = []
         got = 0
         while got < n:
-            batch = np.atleast_2d(_m.sample_rng(rng_, max(n, 1024)))
+            batch = _as_points(_m.sample_rng(rng_, max(n, 1024)), _m.ambient_dim)
             ok = np.asarray([bool(_pred(p)) for p in batch])
             sel = batch[ok]
             out.append(sel)
@@ -602,7 +593,7 @@ def restrict(m: Measure, predicate) -> Measure:
         def dens(x, _m=m, _pred=predicate):
             x = np.asarray(x, dtype=float)
             base = np.asarray(_m.density(x), dtype=float)
-            pts = x.reshape(-1, _m.ambient_dim)
+            pts = _as_points(x, _m.ambient_dim)
             ind = np.asarray([1.0 if _pred(p) else 0.0 for p in pts])
             return base * ind.reshape(base.shape)
 

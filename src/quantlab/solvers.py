@@ -17,10 +17,10 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.spatial import cKDTree
 
-from .error import INF, ErrorEstimate, check_order, error_eval, error_exact_1d
+from .error import INF, ErrorEstimate, check_finite_order, error_eval, error_exact_1d
 from .measures import (Law1D, Measure, cantor_cylinders, derive_seed,
                        piecewise_uniform, sample)
-from .spatial import PointCloud, _as_points
+from .spatial import PointCloud, _as_points, _as_weights
 
 
 @dataclass
@@ -62,8 +62,7 @@ class Quantizer:
     provenance: Provenance
 
     def __post_init__(self):
-        object.__setattr__(self, "points",
-                           np.atleast_2d(np.asarray(self.points, dtype=float)))
+        object.__setattr__(self, "points", _as_points(self.points))
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +265,15 @@ def _cell_centers(cols, assign, S, p, weights=None):
 
 def cell_center(points, weights=None, p=2.0) -> np.ndarray:
     """argmin_a of the weighted p-th moment of a cell around a: the one-cell
-    call of Lloyd's batched centre step (`_cell_centers`). Points are coerced
-    as everywhere else: a flat list is n points in R^1. Non-finite points,
-    weights that are non-finite, negative, all zero or not one per point,
-    and p=inf raise ValueError."""
+    call of Lloyd's batched centre step (`_cell_centers`). Points are read by
+    `_as_points` (a flat list is n points in R^1) and weights, if given, by
+    `_as_weights`; an empty cell, bad points or weights and p=inf raise
+    ValueError."""
     pts = _as_points(points)
-    w = None if weights is None else np.asarray(weights, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty cell")
-    if w is not None and not (w.shape == pts.shape[:1] and np.all(np.isfinite(w))
-                              and np.all(w >= 0) and np.any(w > 0)):
-        raise ValueError("weights must be finite and non-negative, one per point, "
-                         "not all zero")
-    p = check_order(p)
-    if math.isinf(p):
-        raise ValueError("cell_center handles finite p only")
+    w = None if weights is None else _as_weights(weights, len(pts))
+    p = check_finite_order(p)
     return _cell_centers(np.ascontiguousarray(pts.T), np.zeros(len(pts), dtype=np.intp),
                          np.zeros((1, pts.shape[1])), p, w)[0][0]
 
@@ -388,9 +381,7 @@ def lloyd(m: Measure, N: int, p, cfg: SolverConfig | None = None, seed=0) -> Qua
     points per iteration. The returned error is re-evaluated independently:
     exact quadrature for 1D densities and curves, Monte Carlo otherwise.
     """
-    p = check_order(p)
-    if math.isinf(p):
-        raise ValueError("lloyd handles finite p only")
+    p = check_finite_order(p)
     if N < 1:
         raise ValueError("N must be >= 1")
     cfg = cfg or SolverConfig()
@@ -592,9 +583,7 @@ class Dp1dSolver:
     _TOL = 1e-13  # refinement stops at a stationarity residual below _TOL * span
 
     def __init__(self, m: Measure, p, n_max: int, grid_size: int | None = None):
-        p = check_order(p)
-        if math.isinf(p):
-            raise ValueError("dp solver handles finite p only")
+        p = check_finite_order(p)
         if m.kind != "density1d" or m.law is None:
             raise ValueError("dp solver needs a density1d measure with an exact law")
         law = m.law
@@ -730,7 +719,7 @@ class Dp1dSolver:
                           details={"grid_size": len(self.grid) - 1,
                                    "grid_value": self.grid_value(N),
                                    "residual": residual})
-        return Quantizer(np.sort(centers).reshape(-1, 1), N, self.p, err, prov)
+        return Quantizer(np.sort(centers), N, self.p, err, prov)
 
 
 def auto_solver(m: Measure, p) -> str:
@@ -757,9 +746,7 @@ def interval_quantizer(K, N: int, p) -> Quantizer:
     meeting K in measure zero are dropped, so the returned set may have fewer
     than N points.
     """
-    p = check_order(p)
-    if math.isinf(p):
-        raise ValueError("interval_quantizer handles finite p only")
+    p = check_finite_order(p)
     comps = sorted((float(a), float(b)) for a, b in K if b > a)
     if not comps or sum(b - a for a, b in comps) <= 0:
         raise ValueError("K has zero length")
@@ -788,7 +775,7 @@ def interval_quantizer(K, N: int, p) -> Quantizer:
     err = error_exact_1d(nu, pts, p)
     prov = Provenance("interval-construction", None, 0, True,
                       details={"n_points": len(pts), "budget": N})
-    return Quantizer(pts.reshape(-1, 1), N, p, err, prov)
+    return Quantizer(pts, N, p, err, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +785,8 @@ def farthest_point_cover(A: PointCloud, N: int, seed=0) -> Quantizer:
     """Greedy k-center cover of the cloud; radius within 2x of optimal."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    if A.n == 0:
+        raise ValueError("empty cloud")
     rng = np.random.default_rng(seed)
     first = int(rng.integers(A.n))
     cols = np.ascontiguousarray(A.points.T)

@@ -15,36 +15,67 @@ from scipy.spatial import cKDTree
 
 
 def _as_points(x, d=None):
-    """Coerce a point list / single point to an (n, d) float array."""
+    """The one reading of points as an (n, d) float array.
+
+    A scalar is one point of R^1. A flat list is n points of R^1, or, when
+    d > 1, exactly one point, which must then have d coordinates (an empty
+    flat list is no point). A 2-D array is one point per row, with d columns
+    when d is given. Anything else, or a non-finite value, raises ValueError.
+    """
     a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        # ambiguous: either one d-dim point or n scalar points
-        a = a.reshape(-1, d) if d is not None and d > 1 else a.reshape(-1, 1)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("points must be finite")
+    if a.ndim < 2:
+        a = a.reshape(1, -1) if (d or 1) > 1 and a.size else a.reshape(-1, d or 1)
+    if a.ndim != 2 or (d is not None and a.shape[1] != d):
+        raise ValueError(f"points must be rows of {d or 'equally many'} coordinates, "
+                         f"not shape {np.shape(x)}")
+    if not np.isfinite(a).all():
+        raise ValueError("coordinates must be finite")
     return a
+
+
+def _as_point(x, d):
+    """Exactly one point of R^d, as a (d,) array (read by `_as_points`)."""
+    a = _as_points(x, d)
+    if len(a) != 1:
+        raise ValueError(f"need the {d} coordinates of one point, not {len(a)} points")
+    return a[0]
+
+
+def _as_sites(S, d):
+    """A non-empty site list of R^d, as an (N, d) array (read by `_as_points`)."""
+    a = _as_points(S, d)
+    if not len(a):
+        raise ValueError("empty site list")
+    return a
+
+
+def _as_weights(w, n):
+    """Weights of n points: finite, non-negative, one per point and, when
+    n > 0, not all zero; else ValueError."""
+    w = np.asarray(w, dtype=float)
+    if not (w.shape == (n,) and np.isfinite(w).all() and (w >= 0).all()
+            and (w.any() or n == 0)):
+        raise ValueError("weights must be finite and non-negative, one per point, "
+                         "not all zero")
+    return w
 
 
 @dataclass(frozen=True)
 class PointCloud:
-    """n weighted points in R^d, the empirical stand-in for a measure."""
+    """n weighted points in R^d, the empirical stand-in for a measure.
+
+    Points are read by `_as_points` (a flat list is n points on a line) and
+    weights by `_as_weights`: finite, non-negative, one per point, not all
+    zero.
+    """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if pts.shape[0] != w.shape[0]:
-            raise ValueError("points and weights length mismatch")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("coordinates must be finite")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
+        pts = _as_points(self.points)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _as_weights(self.weights, len(pts)))
 
     @property
     def n(self) -> int:
@@ -56,12 +87,10 @@ class PointCloud:
 
 
 def cloud_from_points(points, weights=None) -> PointCloud:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 1 and pts.shape[1] > 1 and np.ndim(points) == 1:
-        pts = pts.T
-    if weights is None:
-        weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    return PointCloud(pts, weights)
+    """A `PointCloud` of the points, weighted 1/n each unless weights are given."""
+    pts = _as_points(points)
+    return PointCloud(pts, np.full(len(pts), 1.0 / max(len(pts), 1))
+                      if weights is None else weights)
 
 
 class SpatialIndex:
@@ -80,24 +109,19 @@ class SpatialIndex:
     def nearest(self, x):
         """Distance and index of the nearest point: the k-d tree's k = 1
         answer, which on a tie may be any of the tied points."""
-        dist, idx = self._tree.query(np.asarray(x, dtype=float).ravel())
+        dist, idx = self._tree.query(_as_point(x, self.cloud.d))
         return float(dist), int(idx)
 
     def nearest_distances(self, X) -> np.ndarray:
-        """Distances from each row of X to the cloud."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        dist, _ = self._tree.query(X)
-        return dist
+        """Distances from each point of X (`_as_points`) to the cloud."""
+        return self._tree.query(_as_points(X, self.cloud.d))[0]
 
     def ball_weight(self, x, r: float) -> float:
         """Total weight of cloud points with d(point, x) < r (open ball)."""
+        x = _as_point(x, self.cloud.d)
         if r <= 0:
             return 0.0
-        x = np.asarray(x, dtype=float).ravel()
-        idx = self._tree.query_ball_point(x, r)
-        if not idx:
-            return 0.0
-        idx = np.sort(np.asarray(idx))  # fixed summation order
+        idx = np.asarray(self._tree.query_ball_point(x, r, return_sorted=True), dtype=np.intp)
         d = np.linalg.norm(self.cloud.points[idx] - x, axis=1)
         return float(self.cloud.weights[idx][d < r].sum())
 
@@ -109,12 +133,7 @@ def voronoi_assign(S, cloud: PointCloud) -> np.ndarray:
     equidistant from several sites goes to one of them, which need not be
     the lowest index, so each cell is a subset of its closed Voronoi cell.
     """
-    S = _as_points(S, d=cloud.d)
-    if S.shape[0] == 0:
-        raise ValueError("empty site list")
-    if S.shape[1] != cloud.d:
-        raise ValueError(f"site dimension {S.shape[1]} != cloud dimension {cloud.d}")
-    return cKDTree(S).query(cloud.points)[1]
+    return cKDTree(_as_sites(S, cloud.d)).query(cloud.points)[1]
 
 
 def omega(s: float) -> float:
@@ -182,12 +201,9 @@ def hausdorff_density(source, x, s: float, delta: float, radii=None) -> DensityE
 
 def covering_radius(A: PointCloud, S) -> float:
     """e_inf(A; S): the largest distance from a point of A to the site set S."""
-    S = _as_points(S, d=A.d)
-    if A.n == 0 or S.shape[0] == 0:
-        raise ValueError("A and S must be nonempty")
-    tree = cKDTree(S)
-    dist, _ = tree.query(A.points)
-    return float(dist.max())
+    if A.n == 0:
+        raise ValueError("empty cloud")
+    return float(cKDTree(_as_sites(S, A.d)).query(A.points)[0].max())
 
 
 def minkowski_content(volume_fn, m: float, s: float, radii) -> float:
@@ -215,8 +231,7 @@ def mc_tube_volume(cloud: PointCloud, box_lo, box_hi, n: int, seed) -> callable:
     The sample is drawn once (deterministic per seed); the returned closure
     reuses it for every radius, so the volume curve is monotone in r.
     """
-    lo = np.asarray(box_lo, dtype=float).ravel()
-    hi = np.asarray(box_hi, dtype=float).ravel()
+    lo, hi = _as_point(box_lo, cloud.d), _as_point(box_hi, cloud.d)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n, lo.size))
     dist = SpatialIndex(cloud).nearest_distances(pts)

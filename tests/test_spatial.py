@@ -1,3 +1,7 @@
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -221,3 +225,141 @@ def test_mc_tube_volume_segment():
     r = 0.1
     expect = 2 * r + np.pi * r ** 2
     assert abs(vol(r) - expect) < 0.01
+
+
+# --- one point reading for every entry point --------------------------------
+#
+# Every entry point reads points, sites and weights through spatial.py's
+# readers. A scalar is one point of R^1; a flat list is points on a line, or,
+# where the dimension d > 1 is fixed, exactly one point of d coordinates; a
+# 2-D array is one point per row, with d columns where d is fixed. Entry points
+# that fix no dimension read rows of any width. Every other input raises a
+# ValueError that says "coordinates", "finite" or "empty".
+
+READER = "coordinates|finite|empty"
+BASE = {1: np.array([[0.2], [0.9]]), 2: np.array([[0.2, 0.3], [0.9, 0.6]])}
+LIN = ql.density1d(lambda x: 2.0 * np.asarray(x), (0.0, 1.0))
+BOX = ql.uniform_box([0, 0], [1, 1])
+ARC = ql.hausdorff_curve_measure(ql.quarter_circle(8))
+IDX = {d: ql.SpatialIndex(cloud_from_points(np.array([[0.0] * d, [1.0] * d])))
+       for d in (1, 2)}
+
+
+def _drawing(x, d):
+    """A measure of dimension d whose sampler returns x, whatever n it is asked for."""
+    return ql.Measure(kind="opaque", ambient_dim=d, intrinsic_dim=float(d),
+                      total_mass=1.0, sampler=lambda rng, n: x)
+
+
+def _csv_text(x):
+    from quantlab.cli import write_quantizer_csv
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "q.csv")
+        write_quantizer_csv(path, x)
+        with open(path) as fh:
+            return fh.read()
+
+
+def _quantizer(x):
+    return ql.Quantizer(x, 2, 2.0, ql.ErrorEstimate(0.0, 0.0, 0, "sup"),
+                        ql.Provenance("test", None, 0, True)).points
+
+
+# (entry point, fixed dimension or None, reads exactly one point, call)
+ENTRY_POINTS = [
+    ("PointCloud", None, False, lambda x: ql.PointCloud(x, np.full(len(x), 0.5)).points),
+    ("cloud_from_points", None, False, lambda x: cloud_from_points(x).points),
+    ("Curve", None, False, lambda x: ql.Curve(x).vertices),
+    ("IfsSpec", None, False, lambda x: ql.IfsSpec((0.4, 0.4), x, (0.5, 0.5)).offsets),
+    ("empirical", None, False, lambda x: ql.sample(ql.empirical(x), 4, seed=0).points),
+    ("cell_center", None, False, lambda x: ql.cell_center(x, None, 3.0)),
+    ("Quantizer", None, False, _quantizer),
+    ("write_quantizer_csv", None, False, _csv_text),
+    ("nearest_distances-1d", 1, False, lambda x: IDX[1].nearest_distances(x)),
+    ("nearest_distances-2d", 2, False, lambda x: IDX[2].nearest_distances(x)),
+    ("voronoi_assign-1d", 1, False, lambda x: ql.voronoi_assign(x, IDX[1].cloud)),
+    ("voronoi_assign-2d", 2, False, lambda x: ql.voronoi_assign(x, IDX[2].cloud)),
+    ("covering_radius-1d", 1, False, lambda x: ql.covering_radius(IDX[1].cloud, x)),
+    ("covering_radius-2d", 2, False, lambda x: ql.covering_radius(IDX[2].cloud, x)),
+    ("error_exact_1d", 1, False, lambda x: ql.error_exact_1d(LIN, x, 2).value),
+    ("error_curve", 2, False, lambda x: ql.error_curve(ARC, x, 2).value),
+    ("error_mc", 2, False, lambda x: ql.error_mc(BOX, x, 2, 100, seed=0).value),
+    ("sample", 1, False, lambda x: ql.sample(_drawing(x, 1), len(x), seed=0).points),
+    ("restrict", 1, False,
+     lambda x: ql.sample(ql.restrict(_drawing(x, 1), lambda p: True), 2, seed=0).points),
+    ("box-density", 2, False, lambda x: BOX.density(x)),
+    ("nearest-1d", 1, True, lambda x: IDX[1].nearest(x)),
+    ("nearest-2d", 2, True, lambda x: IDX[2].nearest(x)),
+    ("ball_weight-1d", 1, True, lambda x: IDX[1].ball_weight(x, 0.5)),
+    ("ball_weight-2d", 2, True, lambda x: IDX[2].ball_weight(x, 0.5)),
+    ("density1d-ball", 1, True, lambda x: LIN.ball_measure(x, 0.1)),
+    ("box-ball", 2, True, lambda x: BOX.ball_measure(x, 0.1)),
+    ("hausdorff_density", 1, True, lambda x: ql.hausdorff_density(LIN, x, 1.0, 0.1).ratios),
+    ("hausdorff_density-index", 1, True,
+     lambda x: ql.hausdorff_density(IDX[1], x, 1.0, 0.1).ratios),
+    ("measure_ball_fn-1d", 1, True, lambda x: ql.measure_ball_fn(LIN, x)(np.array([0.1, 0.3]))),
+    ("measure_ball_fn-2d", 2, True, lambda x: ql.measure_ball_fn(BOX, x)(np.array([0.1, 0.3]))),
+]
+
+
+def _outcome(fn, x):
+    try:
+        return "value", np.asarray(fn(x)).tolist()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("d, one, fn", [e[1:] for e in ENTRY_POINTS],
+                         ids=[e[0] for e in ENTRY_POINTS])
+def test_every_entry_point_reads_points_by_one_rule(d, one, fn):
+    P = BASE[d or 1]
+    plain = _outcome(fn, P[:1] if one else P)
+    assert plain[0] == "value", plain
+    if one:  # one point: a scalar in R^1, a flat list of d coordinates in R^d
+        assert _outcome(fn, P[0].tolist() if d > 1 else float(P[0, 0])) == plain
+
+    # a flat list of two points' coordinates: the column, or no one point of R^d
+    flat = P.ravel().tolist()
+    if (d or 1) == 1 and not one:
+        assert _outcome(fn, flat) == plain
+    else:
+        with pytest.raises(ValueError, match="coordinates"):
+            fn(flat)
+
+    # rows one coordinate too wide: read as rows unless a dimension is fixed
+    wide = np.c_[P, P[:, :1]].tolist()
+    if d is None:
+        assert _outcome(fn, wide)[0] == "value"
+    else:
+        with pytest.raises(ValueError, match="coordinates"):
+            fn(wide)
+
+    nan = P.tolist()
+    nan[0][0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fn(nan)
+
+    # an empty list is the empty column: rejected by a reader, or read as one
+    empty = _outcome(fn, [])
+    assert (empty == _outcome(fn, np.zeros((0, d or 1)))
+            or empty[0] == "error" and re.search(READER, empty[1])), empty
+
+
+@pytest.mark.parametrize("weights", [[[0.5, 0.5]], [0.0, 0.0], [0.5, np.nan], [0.5]],
+                         ids=["nested", "zero", "nan", "short"])
+def test_point_cloud_weights_are_read_by_one_rule(weights):
+    with pytest.raises(ValueError, match="weights"):
+        ql.PointCloud([[0.0], [1.0]], weights)
+    with pytest.raises(ValueError, match="weights"):
+        ql.cell_center([[0.0], [1.0]], weights)
+
+
+def test_seed_plusplus_never_sees_all_zero_weights():
+    # the cloud once took them, and seeding then warned and failed on NaN probabilities
+    with pytest.raises(ValueError, match="weights"):
+        ql.seed_plusplus(ql.PointCloud([[0.0], [1.0]], [0.0, 0.0]), 1, seed=0)
+
+
+def test_farthest_point_cover_rejects_an_empty_cloud():
+    with pytest.raises(ValueError, match="empty cloud"):
+        ql.farthest_point_cover(ql.PointCloud(np.zeros((0, 2)), np.zeros(0)), 2)
