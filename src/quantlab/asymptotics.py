@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .error import check_finite_order, check_order
+from .error import INF, ErrorEstimate, check_finite_order, check_order
 from .measures import Measure, derive_seed, restrict, sample
-from .solvers import (Dp1dSolver, SolverConfig, auto_solver,
-                      cantor_covering_radius, lloyd)
+from .solvers import (Dp1dSolver, Provenance, Quantizer, SolverConfig, cantor_cover,
+                      cantor_covering_radius, farthest_point_cover, lloyd)
 from .spatial import _as_points
 
 
@@ -56,50 +56,63 @@ def make_series(budgets, errors, p, s, provenance=()) -> CoeffSeries:
     return CoeffSeries(budgets, errors, float(p), float(s), tuple(provenance))
 
 
+def solver_for(m: Measure, p, solver: str = "auto", n_max: int = 1,
+               cfg: SolverConfig | None = None, grid_size: int | None = None):
+    """The one solver table: the resolved name and solve(N, seed) -> Quantizer.
+
+    "auto" is "cantor" for an IFS at p = inf, "dp" for a density1d at finite
+    p, else "lloyd" (with cfg). "dp" is one exact `Dp1dSolver` build for
+    every N <= n_max. "cantor" (the middle-thirds IFS: exact covers) and
+    "farthest-point" (the greedy cover of cfg.sample_size(d) draws, Lloyd's
+    working sample) serve p = inf only. Any other case raises ValueError.
+    """
+    p = check_order(p)
+    if solver == "auto":
+        solver = ("cantor" if math.isinf(p) and m.kind == "ifs" else
+                  "dp" if m.kind == "density1d" and not math.isinf(p) else "lloyd")
+    if solver == "dp":
+        dp = Dp1dSolver(m, p, n_max=n_max, grid_size=grid_size)
+        return solver, lambda N, seed: dp.solve(N)
+    if solver == "lloyd":
+        return solver, lambda N, seed: lloyd(m, N, p, cfg=cfg, seed=seed)
+    if solver not in ("cantor", "farthest-point"):
+        raise ValueError(f"unknown solver pipeline '{solver}'")
+    if not math.isinf(p) or solver == "cantor" and m.label != "cantor":
+        raise ValueError("cantor (the Cantor measure only) and farthest-point serve p = inf only")
+    if solver == "cantor":
+        return solver, lambda N, seed: Quantizer(
+            cantor_cover(N)[0], N, INF, ErrorEstimate(cantor_covering_radius(N), 0.0, 0, "sup"),
+            Provenance("cantor-exact", None, 0, True))
+    n = (cfg or SolverConfig()).sample_size(m.ambient_dim)
+    return solver, lambda N, seed: farthest_point_cover(
+        sample(m, n, derive_seed(seed, "fpc-sample")), N, seed=derive_seed(seed, "fpc"))
+
+
 def coeff_sequence(m: Measure, p, s: float, budgets, solver: str = "auto",
                    seed=0, cfg: SolverConfig | None = None,
                    grid_size: int | None = None) -> CoeffSeries:
-    """One scaled-error entry per budget via the designated solver pipeline.
-
-    solver: "dp" (exact 1D), "lloyd", "cantor" (the "cantor" IFS at p = inf
-    only: exact middle-thirds covers), or "auto": cantor for the IFS/p=inf
-    pair, else `auto_solver`: dp for a density1d at finite p, lloyd for
-    every other kind (restrictions included). A Lloyd entry that raises
-    ValueError (a budget above the working sample) is recorded as a gap
-    (NaN) with the message in the provenance; any other exception propagates.
+    """One scaled-error entry per budget from `solver_for`'s table, which says
+    what each solver and "auto" is; each provenance names its solver. A Lloyd
+    entry that raises ValueError (a budget above the working sample) is
+    recorded as a gap (NaN) with the message in the provenance; any other
+    exception propagates.
     """
     p = check_order(p)
     budgets = [int(n) for n in budgets]
     if any(b <= a for a, b in zip(budgets[:-1], budgets[1:])):
         raise ValueError("budgets must be strictly increasing")
-
-    if solver == "auto":
-        solver = "cantor" if math.isinf(p) and m.kind == "ifs" else auto_solver(m, p)
-
+    name, solve = solver_for(m, p, solver, max(budgets), cfg, grid_size)
     errors, prov = [], []
-    if solver == "dp":
-        dp = Dp1dSolver(m, p, n_max=max(budgets), grid_size=grid_size)
-        for n in budgets:
-            q = dp.solve(n)
+    for n in budgets:
+        try:
+            q = solve(n, derive_seed(seed, "coeff", n))
             errors.append(q.error.value)
-            prov.append(("dp1d", n))
-    elif solver == "cantor":
-        if not math.isinf(p) or m.label != "cantor":
-            raise ValueError("cantor pipeline serves the Cantor measure at p = inf only")
-        for n in budgets:
-            errors.append(cantor_covering_radius(n))
-            prov.append(("cantor-exact", n))
-    elif solver == "lloyd":
-        for n in budgets:
-            try:
-                q = lloyd(m, n, p, cfg=cfg, seed=derive_seed(seed, "coeff", n))
-                errors.append(q.error.value)
-                prov.append(("lloyd", n))
-            except ValueError as exc:  # per-entry gap flag
-                errors.append(float("nan"))
-                prov.append(("gap", n, str(exc)))
-    else:
-        raise ValueError(f"unknown solver pipeline '{solver}'")
+            prov.append((q.provenance.solver, n))
+        except ValueError as exc:  # per-entry gap flag, for Lloyd only
+            if name != "lloyd":
+                raise
+            errors.append(float("nan"))
+            prov.append(("gap", n, str(exc)))
     return make_series(budgets, errors, p, s, prov)
 
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .asymptotics import p_prime
+from .asymptotics import p_prime, solver_for
 from .error import check_finite_order, check_order
 from .measures import _GL_NODES, _GL_WEIGHTS, Measure, derive_seed, sample
+from .solvers import SolverConfig
 from .spatial import _as_point, omega
 
 
@@ -194,14 +195,10 @@ def rand_quant_bound(m: Measure, nu: Measure, p, s: float, N: int,
     se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
     if empirical is None:
-        from .solvers import SolverConfig, auto_solver, dp_optimal_1d, lloyd
-        if auto_solver(m, p) == "dp":
-            q = dp_optimal_1d(m, N, p)
-        else:
-            # Lloyd's sample and error draws: 2048 per point, up to the default
-            n = min(2048 * N, SolverConfig.eval_samples)
-            q = lloyd(m, N, p, cfg=SolverConfig(working_sample=n, eval_samples=n),
-                      seed=derive_seed(seed, "emp"))
+        # Lloyd's sample and error draws: 2048 per point, up to the default
+        n = min(2048 * N, SolverConfig.eval_samples)
+        _, solve = solver_for(m, p, "auto", N, SolverConfig(working_sample=n, eval_samples=n))
+        q = solve(N, derive_seed(seed, "emp"))
         empirical = N ** (p / s) * q.error.value ** p
     ok = empirical <= mean + 3.0 * se
     return BoundReport("random-quantizer", mean, "upper",

@@ -22,14 +22,13 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (coeff_sequence, estimate_coefficients, make_series,
-                          spatial_histogram, zador_prediction)
+                          solver_for, spatial_histogram, zador_prediction)
 from .bounds import conc_lower_bound, conc_upper_bound, sandwich_check
 from .error import error_eval
 from .measures import (Curve, IfsSpec, curve_measure, density1d,
                        derive_seed, empirical, hausdorff_curve_measure,
                        ifs_measure, quarter_circle, sample, uniform_box)
-from .solvers import (SolverConfig, auto_solver, cantor_covering_radius,
-                      dp_optimal_1d, farthest_point_cover, lloyd)
+from .solvers import SolverConfig, cantor_covering_radius
 from .spatial import SpatialIndex, _as_points, hausdorff_density
 
 TASKS = ("quantize", "error", "coeff", "zador-check", "density", "bounds",
@@ -194,27 +193,22 @@ def _solver_config(cfg: dict) -> SolverConfig:
     return SolverConfig(**kw)
 
 
-def _solve(cfg, m, N, p, seed):
+def _solve(cfg, out):
+    """The config's quantizer from `solver_for`, written to quantizer.csv."""
     sol = cfg.get("solver", {})
-    name = sol.get("name", "auto")
-    if name == "auto":
-        name = auto_solver(m, p)
-    if name == "dp":
-        return dp_optimal_1d(m, N, p, grid_size=sol.get("grid_size"))
-    if name == "farthest-point":
-        cloud = sample(m, cfg.get("n_mc", 100000), derive_seed(seed, "fpc-sample"))
-        return farthest_point_cover(cloud, N, seed=derive_seed(seed, "fpc"))
-    return lloyd(m, N, p, cfg=_solver_config(cfg), seed=derive_seed(seed, "lloyd"))
+    _, solve = solver_for(build_measure(cfg["measure"]), float(cfg.get("p", 2)),
+                          sol.get("name", "auto"), cfg["N"], _solver_config(cfg),
+                          sol.get("grid_size"))
+    q = solve(cfg["N"], derive_seed(cfg["seed"], "lloyd"))
+    write_quantizer_csv(os.path.join(out, "quantizer.csv"), q.points)
+    return q
 
 
 # ---------------------------------------------------------------------------
 # task pipelines
 
 def _task_quantize(cfg, out):
-    m = build_measure(cfg["measure"])
-    p = float(cfg.get("p", 2))
-    q = _solve(cfg, m, cfg["N"], p, cfg["seed"])
-    write_quantizer_csv(os.path.join(out, "quantizer.csv"), q.points)
+    q = _solve(cfg, out)
     return {
         "error": q.error.to_json(),
         "n_points": int(q.points.shape[0]),
@@ -237,11 +231,10 @@ def _series_pipeline(cfg):
     m = build_measure(cfg["measure"])
     p = float(cfg.get("p", 2))
     s = float(cfg.get("s", m.intrinsic_dim))
-    name = cfg.get("solver", {}).get("name", "auto")
-    series = coeff_sequence(m, p, s, cfg["budgets"], solver=name,
-                            seed=derive_seed(cfg["seed"], "coeff"),
-                            cfg=_solver_config(cfg),
-                            grid_size=cfg.get("solver", {}).get("grid_size"))
+    sol = cfg.get("solver", {})
+    series = coeff_sequence(m, p, s, cfg["budgets"], sol.get("name", "auto"),
+                            derive_seed(cfg["seed"], "coeff"), _solver_config(cfg),
+                            sol.get("grid_size"))
     return m, p, s, series
 
 
@@ -310,10 +303,7 @@ def _task_bounds(cfg, out):
 
 
 def _task_distribution(cfg, out):
-    m = build_measure(cfg["measure"])
-    p = float(cfg.get("p", 2))
-    q = _solve(cfg, m, cfg["N"], p, cfg["seed"])
-    write_quantizer_csv(os.path.join(out, "quantizer.csv"), q.points)
+    q = _solve(cfg, out)
     regions = [build_region(r) for r in cfg["regions"]]
     fracs = spatial_histogram(q.points, regions)
     return {"fractions": fracs.tolist(), "n_points": int(q.points.shape[0]),

@@ -72,13 +72,13 @@ class Law1D:
             nodes.append(np.linspace(a, b, k + 1)[1:])
         self.grid = np.concatenate(nodes)
 
-        cells, fx = self._integrate(self.grid[:-1], self.grid[1:], _powers)
+        cells, fx = self._integrate(self.grid[:-1], self.grid[1:], _powers, self.lo)
         if not np.all(np.isfinite(fx)):
             raise ValueError("density must be finite")
         if np.any(fx < -1e-12):
             raise ValueError("density must be nonnegative")
         self.constant = float(fx.flat[0]) if np.all(fx == fx.flat[0]) else None
-        # cumulative moments of orders 0, 1, 2 at the grid nodes
+        # cumulative moments of orders 0, 1, 2 about lo at the grid nodes
         self._cum = np.concatenate([np.zeros((3, 1)), np.cumsum(cells, axis=1)], axis=1)
         self.mass = float(self._cum[0, -1])
         if self.mass <= 0:
@@ -142,10 +142,11 @@ class Law1D:
                 (j0 <= j1) & (ls < rs))
 
     def moments(self, x):
-        """Cumulative mass, first and second moment from lo to x, stacked
-        along a new leading axis."""
+        """Cumulative mass, first and second moment about lo from lo to x,
+        stacked along a new leading axis. About lo, they hold no digits of
+        lo's distance from 0, so a translated law keeps them to rounding."""
         x, idx = self._locate(x)
-        return self._cum.take(idx, axis=1) + self._integrate(self.grid[idx], x, _powers)[0]
+        return self._cum.take(idx, axis=1) + self._integrate(self.grid[idx], x, _powers, self.lo)[0]
 
     def cell_integral(self, ls, rs, a, f):
         """Integral of f(x - a) rho(x) over [l, r], for arrays of cells.

@@ -10,7 +10,6 @@ heuristic; it reports best-found values and never claims global optimality.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +41,9 @@ class SolverConfig:
             raise ValueError("working_sample must be >= 1, or None for the default")
         if self.eval_samples < 100:
             raise ValueError("eval_samples must be >= 100")
+
+    def sample_size(self, d: int) -> int:  # the working sample's size in d dimensions
+        return self.working_sample or int(1e5 * max(1.0, d / 2.0))
 
 
 @dataclass(frozen=True)
@@ -385,7 +387,7 @@ def lloyd(m: Measure, N: int, p, cfg: SolverConfig | None = None, seed=0) -> Qua
     if N < 1:
         raise ValueError("N must be >= 1")
     cfg = cfg or SolverConfig()
-    n_work = cfg.working_sample or int(1e5 * max(1.0, m.ambient_dim / 2.0))
+    n_work = cfg.sample_size(m.ambient_dim)
     # the one layout of the working sample: coordinate columns, (d, n)
     cols = np.ascontiguousarray(sample(m, n_work, derive_seed(seed, "work")).points.T)
 
@@ -451,12 +453,14 @@ class _CellOracle:
             mass = m0r - m0l
             if self.p == 2.0:
                 m1 = m1r - m1l
-                centers = np.where(mass > 0, m1 / np.maximum(mass, 1e-300), 0.5 * (ls + rs))
+                centers = np.where(mass > 0, self.law.lo + m1 / np.maximum(mass, 1e-300),
+                                   0.5 * (ls + rs))
                 return centers, _p2_costs(mass, m1, m2r - m2l)
             med = self.law.ppf(0.5 * (m0l + m0r))
             med = np.where(mass > 0, med, 0.5 * (ls + rs))
             m0m, m1m, _ = self.law.moments(med)
-            costs = (m1r - m1m) - med * (m0r - m0m) + med * (m0m - m0l) - (m1m - m1l)
+            t = med - self.law.lo  # the moments are about lo
+            costs = (m1r - m1m) - t * (m0r - m0m) + t * (m0m - m0l) - (m1m - m1l)
             return med, np.maximum(np.where(mass > 0, costs, 0.0), 0.0)
         centers = self._centers(ls, rs)
         return centers, self.law.cell_integral(ls, rs, centers,
@@ -503,7 +507,7 @@ class _CellOracle:
             newton = usable & (lo < new) & (new < hi) & (2.0 * np.abs(step) <= np.abs(d2))
             mid = 0.5 * (lo + hi)
             nxt = np.where(newton, new, mid)
-            small = usable & (np.abs(step) <= 4.0 * np.spacing(a))
+            small = usable & (np.abs(step) <= 4.0 * np.spacing(np.abs(a)))
             tight = ~((np.nextafter(lo, hi) < mid) & (mid < np.nextafter(hi, lo)))
             done = (F == 0) | small | tight
             out[idx[done]] = np.where(F == 0, a, np.where(small, np.clip(new, lo, hi),
@@ -580,7 +584,7 @@ class Dp1dSolver:
     whose Newton steps are kept only when they do not raise the cost.
     """
 
-    _TOL = 1e-13  # refinement stops at a stationarity residual below _TOL * span
+    _TOL = 1e-13  # refine stops at max|F| below _TOL * span, or 4 ulps of the larger |end|
 
     def __init__(self, m: Measure, p, n_max: int, grid_size: int | None = None):
         p = check_finite_order(p)
@@ -597,6 +601,7 @@ class Dp1dSolver:
         self.p = p
         self.n_max = int(n_max)
         self.grid = np.linspace(law.lo, law.hi, grid_size + 1)
+        self._stop = max(self._TOL * (law.hi - law.lo), 4.0 * np.spacing(max(-law.lo, law.hi)))
         # a node an ulp off a breakpoint leaves a sliver cell whose quadrature
         # reads the density's value across the jump, breaking cost ties
         for x in law.breakpoints[1:-1]:
@@ -678,11 +683,10 @@ class Dp1dSolver:
         b - F, a descent step, is taken: Newton alone from the grid optimum
         can jump to another stationary point. Returns the centres, the cost,
         the steps taken (each a Newton step or its midpoint fallback) and the
-        residual max|F| relative to the support.
+        residual max|F|.
         """
         lo, hi = self.grid[0], self.grid[-1]
-        span = hi - lo
-        eps = 1e-7 * span
+        eps = 1e-7 * (hi - lo)
         cells = self.oracle.centers_costs
 
         def state(b):
@@ -692,7 +696,7 @@ class Dp1dSolver:
 
         edges, c, F, V = state(b)
         steps = 0
-        while np.max(np.abs(F), initial=0.0) >= self._TOL * span and steps < 64:
+        while np.max(np.abs(F), initial=0.0) >= self._stop and steps < 64:
             steps += 1
             dl = (cells(edges[:-1] + eps, edges[1:])[0] - c) / eps
             dr = (c - cells(edges[:-1], edges[1:] - eps)[0]) / eps
@@ -710,21 +714,16 @@ class Dp1dSolver:
                 nb = b - F
                 new = state(nb)
             b, (edges, c, F, V) = nb, new
-        return c, V, steps, float(np.max(np.abs(F), initial=0.0) / span)
+        return c, V, steps, float(np.max(np.abs(F), initial=0.0))
 
     def solve(self, N: int) -> Quantizer:
         centers, V, steps, residual = self._refine(self.grid_boundaries(N))
         err = ErrorEstimate(V ** (1.0 / self.p), 0.0, 0, "exact1d")
-        prov = Provenance("dp1d", None, steps, residual < self._TOL,
+        prov = Provenance("dp1d", None, steps, residual < self._stop,
                           details={"grid_size": len(self.grid) - 1,
                                    "grid_value": self.grid_value(N),
-                                   "residual": residual})
+                                   "residual": residual / float(self.grid[-1] - self.grid[0])})
         return Quantizer(np.sort(centers), N, self.p, err, prov)
-
-
-def auto_solver(m: Measure, p) -> str:
-    """The automatic pipeline: exact "dp" for a density1d at finite p, else "lloyd"."""
-    return "dp" if m.kind == "density1d" and not math.isinf(p) else "lloyd"
 
 
 def dp_optimal_1d(m: Measure, N: int, p, grid_size: int | None = None) -> Quantizer:

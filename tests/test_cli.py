@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import quantlab as ql
 from quantlab.cli import (CONFIG_SCHEMA, build_measure, compare_reports, main,
                           run_config, validate_config, ConfigError)
 
@@ -321,3 +322,63 @@ def test_distribution_task_farthest_point_in_boxes(tmp_path):
     assert left + right == pytest.approx(1.0) and outside == 0.0
     assert 0.25 <= left <= 0.75  # greedy spreads the cover over the square
     assert res["error"]["method"] == "sup" and 0 < res["error"]["value"] < 0.5
+
+
+_CANTOR_SPEC = {"kind": "ifs", "ratios": [1 / 3, 1 / 3], "offsets": [[0], [2 / 3]],
+                "weights": [0.5, 0.5]}
+_BOX_SPEC = {"kind": "uniform-box", "lo": [0, 0], "hi": [1, 1]}
+_SMALL_SOLVER = {"restarts": 1, "max_iters": 20, "working_sample": 2000,
+                 "eval_samples": 2000}
+
+
+@pytest.mark.parametrize("spec, p, name, solver", [
+    ({"kind": "density1d", "support": [0, 1],
+      "density": {"form": "poly", "coeffs": [0, 2]}}, 2, "auto", "dp1d"),
+    (_BOX_SPEC, 2, "auto", "lloyd"),
+    (_CANTOR_SPEC, "inf", "auto", "cantor-exact"),
+    (_BOX_SPEC, "inf", "farthest-point", "farthest-point"),
+], ids=["density1d-dp", "box-lloyd", "cantor-exact", "box-farthest-point"])
+def test_quantize_and_coeff_sequence_share_the_solver_table(tmp_path, spec, p, name, solver):
+    N = 8
+    cfg = {"task": "quantize", "seed": 3, "p": p, "N": N, "measure": spec,
+           "solver": dict(_SMALL_SOLVER, name=name)}
+    out = str(tmp_path / "out")
+    assert run_cli(["run", "--config", write_cfg(tmp_path, "q.json", cfg), "--out", out]) == 0
+    res = read_report(out)["results"]
+    series = ql.coeff_sequence(build_measure(spec), float(p), 1.0, [N], solver=name,
+                               cfg=ql.SolverConfig(**_SMALL_SOLVER))
+    assert res["provenance"]["solver"] == series.provenance[0][0] == solver
+    if solver in ("dp1d", "cantor-exact"):  # exact: neither depends on a seed
+        assert res["error"]["value"] == series.errors[0]
+
+
+def test_coeff_accepts_farthest_point_at_p_inf(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "task": "coeff", "seed": 2, "p": "inf", "s": 2.0, "measure": _BOX_SPEC,
+        "budgets": [4, 8, 16, 32], "solver": {"name": "farthest-point",
+                                             "working_sample": 2000}})
+    out = str(tmp_path / "out")
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    radii = [row[1] for row in read_report(out)["results"]["series"]]
+    # the greedy cover of the square: within 2x of the optimal radius
+    assert all(0 < r < 1 for r in radii) and radii[-1] < radii[0]
+
+
+def test_quantize_cantor_at_p_inf_returns_the_exact_cover(tmp_path):
+    cfg = write_cfg(tmp_path, "q.json", {"task": "quantize", "seed": 1, "p": "inf",
+                                         "N": 5, "measure": _CANTOR_SPEC})
+    out = str(tmp_path / "out")
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    res = read_report(out)["results"]
+    assert res["error"]["method"] == "sup"
+    assert res["error"]["value"] == ql.cantor_covering_radius(5) == 1 / 18
+    assert res["n_points"] == 4 and res["provenance"]["solver"] == "cantor-exact"
+
+
+def test_farthest_point_at_finite_p_is_a_numeric_failure(tmp_path, capsys):
+    # the cover's radius is e_inf: at p = 2 it is no answer
+    cfg = write_cfg(tmp_path, "q.json", {"task": "quantize", "seed": 1, "p": 2, "N": 4,
+                                         "measure": _BOX_SPEC,
+                                         "solver": {"name": "farthest-point"}})
+    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "p = inf only" in capsys.readouterr().err

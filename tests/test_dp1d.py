@@ -416,3 +416,22 @@ def test_centers_raise_on_a_non_finite_cell_integral(monkeypatch):
                         lambda self, ls, rs, a, f: np.full((2,) + np.shape(ls), np.nan))
     with _within(30), pytest.raises(ValueError, match="not finite"):
         ql.solvers._CellOracle(law, 3).centers_costs(np.array([0.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+def test_dp_values_are_translation_invariant(p):
+    # moments about the support's left end keep the p in {1, 2} costs free of
+    # the distance from 0, and the refine stop test allows the rounding of
+    # the edges: rho(x - c) gets rho's values, with the same convergence
+    def solver(c):
+        m = ql.density1d(lambda x: 2 * (np.asarray(x) - c), (c, c + 1))
+        return ql.Dp1dSolver(m, p, n_max=64, grid_size=256)
+
+    ref = solver(0.0)
+    for c in (-3.0, 10.0, 1000.0):
+        dp = solver(c)
+        for N in (1, 8, 64):
+            a, b = ref.solve(N), dp.solve(N)
+            assert b.error.value == pytest.approx(a.error.value, rel=1e-12, abs=0)
+            assert dp.grid_value(N) == pytest.approx(ref.grid_value(N), rel=1e-12, abs=0)
+            assert b.provenance.converged == a.provenance.converged
