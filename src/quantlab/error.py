@@ -60,7 +60,9 @@ class ErrorEstimate:
     `variance` refers to the Monte Carlo estimator of V_p = e_p^p and is 0
     for exact methods. `method` says what the value is: exact ("exact1d",
     "curve", and "sup" for an exact supremum at p = inf), a Monte Carlo
-    estimate ("montecarlo"), or a lower bound on the supremum ("sample-max").
+    estimate ("montecarlo"), a lower bound on the supremum ("sample-max"), or
+    an upper bound on e_N ("upper": an unconverged 1D DP, whose value is the
+    exact cost of its partition, at least the Voronoi error of its points).
     """
 
     value: float

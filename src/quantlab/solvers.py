@@ -93,7 +93,9 @@ def _dist(cols, S, idx=None):
 
 
 def _seed_pp(cols, weights, N, rng):
-    """k-means++ seeding on the sample's coordinate columns `cols` (d, n)."""
+    """k-means++ seeding on the sample's coordinate columns `cols` (d, n): the
+    seeds, each point's nearest seed (the first chosen of equal distances)
+    and its squared distance to the second-nearest seed (inf at N = 1)."""
     n = cols.shape[1]
     if N > n:
         raise ValueError("budget exceeds number of points")
@@ -101,16 +103,26 @@ def _seed_pp(cols, weights, N, rng):
     chosen = np.empty(N, dtype=int)
     chosen[0] = rng.choice(n, p=probs)
     d2 = _sq_dist(cols, cols[:, chosen[0]])
+    near, second = np.zeros(n, dtype=np.intp), np.full(n, np.inf)
     for k in range(1, N):
         score = weights * d2
         total = score.sum()
         if total <= 0:
             remaining = np.setdiff1d(np.arange(n), chosen[:k])
             chosen[k] = rng.choice(remaining)
-        else:
-            chosen[k] = rng.choice(n, p=score / total)
-        np.minimum(d2, _sq_dist(cols, cols[:, chosen[k]]), out=d2)
-    return cols[:, chosen].T.copy()
+        elif not np.isfinite(total):
+            raise ValueError("seeding scores must have a finite sum")
+        else:  # rng.choice(n, p=score / total), without its validation passes
+            cdf = np.cumsum(score / total)
+            cdf /= cdf[-1]
+            chosen[k] = cdf.searchsorted(rng.random(), side="right")
+        new = _sq_dist(cols, cols[:, chosen[k]])
+        np.minimum(second, new, out=second)
+        idx = np.flatnonzero(new < d2)
+        second[idx] = d2[idx]
+        d2[idx] = new[idx]
+        near[idx] = k
+    return cols[:, chosen].T.copy(), near, second
 
 
 def _farthest(cols, dist, k):
@@ -126,7 +138,7 @@ def _farthest(cols, dist, k):
 def seed_plusplus(cloud: PointCloud, N: int, seed) -> np.ndarray:
     """Distance-squared-proportional seeding over a weighted cloud."""
     rng = np.random.default_rng(seed)
-    return _seed_pp(np.ascontiguousarray(cloud.points.T), cloud.weights, N, rng)
+    return _seed_pp(np.ascontiguousarray(cloud.points.T), cloud.weights, N, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +313,10 @@ def _other_max(shift):
     return out
 
 
-def _lloyd_restart(cols, S, p, cfg):
-    """Lloyd iterations from the sites S on the sample's columns `cols` (d, n).
+def _lloyd_restart(cols, S, p, cfg, assign, lower):
+    """Lloyd iterations from the sites S on the sample's columns `cols` (d, n),
+    point i starting at site assign[i], with lower[i] a lower bound on its
+    distance to every other site (both updated in place; zeros say nothing).
 
     A point keeps its site, unqueried, when its exact distance to it passes
     either of Hamerly's tests (G. Hamerly, "Making k-means even faster", SDM
@@ -319,9 +333,6 @@ def _lloyd_restart(cols, S, p, cfg):
     as a full query would. Returns the sites, the V_p history, convergence
     and the number of points queried before each history entry.
     """
-    n = cols.shape[1]
-    assign = np.zeros(n, dtype=np.intp)
-    lower = np.zeros(n)  # no bound yet: the first pass queries every point
     tree, half = cKDTree(S), np.zeros(len(S))
     v_hist, requeried = [], []
     converged = False
@@ -356,9 +367,9 @@ def _lloyd_restart(cols, S, p, cfg):
         # the rounded product is at most x - ulp(x) too, below x by more than
         # the subtraction's half-ulp error. A subtraction whose result is
         # subnormal is exact, and a bound at or below zero keeps no point.
-        # The few-ulp errors of the tree's second distance and of dist scale
-        # with that distance, at most lower + the shifts taken off it, which
-        # the two 1e-12 slacks (here and in the keep test) cover.
+        # The few-ulp errors of the second distance (the tree's or the
+        # seeding's) and of dist scale with it, at most lower + the shifts
+        # taken off it: the 1e-12 slacks here and in the keep test cover them.
         lower -= (_other_max(shift) * (1.0 + 1e-12))[assign]
         lower *= 1.0 - 2.0 ** -52
         S = S_new
@@ -374,14 +385,15 @@ def lloyd(m: Measure, N: int, p, cfg: SolverConfig | None = None, seed=0) -> Qua
 
     The working-sample objective V_p is non-increasing across iterations
     (empty cells reseed at the farthest sample point, which preserves
-    descent). Each restart queries every point once on a k=2 kd-tree, then
-    re-queries only the points that fail both of Hamerly's tests
-    (`_lloyd_restart`): a point keeps its site while its distance to it is
-    below its bound on the distance to every other site, or below half the
-    distance from its site to the nearest other site. Every iteration gives
-    the results of a full query; details["requeried"] counts the queried
-    points per iteration. The returned error is re-evaluated independently:
-    exact quadrature for 1D densities and curves, Monte Carlo otherwise.
+    descent). Each restart starts from its seeding's two nearest seeds per
+    point, and queries a k=2 kd-tree only for the points that fail both of
+    Hamerly's tests (`_lloyd_restart`): a point keeps its site while its
+    distance to it is below its bound on the distance to every other site,
+    or below half the distance from its site to the nearest other site.
+    Every iteration gives the results of a full query; details["requeried"]
+    counts the queried points per iteration. The returned error is
+    re-evaluated independently: exact quadrature for 1D densities and
+    curves, Monte Carlo otherwise.
     """
     p = check_finite_order(p)
     if N < 1:
@@ -394,8 +406,8 @@ def lloyd(m: Measure, N: int, p, cfg: SolverConfig | None = None, seed=0) -> Qua
     best = None
     for rs in range(cfg.restarts):
         rng = np.random.default_rng(derive_seed(seed, "restart", rs))
-        S = _seed_pp(cols, np.full(cols.shape[1], 1.0), N, rng)
-        S, v_hist, converged, requeried = _lloyd_restart(cols, S, p, cfg)
+        S, near, second = _seed_pp(cols, np.full(cols.shape[1], 1.0), N, rng)
+        S, v_hist, converged, requeried = _lloyd_restart(cols, S, p, cfg, near, np.sqrt(second))
         key = (v_hist[-1], tuple(np.sort(S.ravel())))
         if best is None or key < best[0]:
             best = (key, S, v_hist, converged, requeried)
@@ -718,8 +730,10 @@ class Dp1dSolver:
 
     def solve(self, N: int) -> Quantizer:
         centers, V, steps, residual = self._refine(self.grid_boundaries(N))
-        err = ErrorEstimate(V ** (1.0 / self.p), 0.0, 0, "exact1d")
-        prov = Provenance("dp1d", None, steps, residual < self._stop,
+        converged = residual < self._stop
+        # unconverged, V is still the exact cost of a partition: an upper bound
+        err = ErrorEstimate(V ** (1.0 / self.p), 0.0, 0, "exact1d" if converged else "upper")
+        prov = Provenance("dp1d", None, steps, converged,
                           details={"grid_size": len(self.grid) - 1,
                                    "grid_value": self.grid_value(N),
                                    "residual": residual / float(self.grid[-1] - self.grid[0])})

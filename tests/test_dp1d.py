@@ -149,6 +149,20 @@ def test_refinement_descends_and_converges(m, p):
         assert q.provenance.details["residual"] < 1e-13
 
 
+def test_unconverged_value_is_labelled_an_upper_bound():
+    # the exact cost of a partition is at least the Voronoi error of its
+    # points, and so at least e_N
+    m = ql.density1d(lambda x: 2 * np.asarray(x), (0, 1))
+    dp = ql.Dp1dSolver(m, 2, n_max=3, grid_size=64)
+    assert dp.solve(3).error.method == "exact1d"
+    dp._stop = 0.0  # no residual passes the stop test
+    q = dp.solve(3)
+    assert not q.provenance.converged
+    assert q.error.method == "upper"
+    exact = ql.error_exact_1d(m, q.points.ravel(), 2).value
+    assert q.error.value >= exact * (1 - 1e-12)
+
+
 @pytest.mark.parametrize("m", [ql.piecewise_uniform([(0.0, 0.25), (0.75, 1.0)]),
                                _step_density()], ids=["gapped", "step"])
 @pytest.mark.parametrize("N", [2, 3, 5, 8])

@@ -36,6 +36,14 @@ def test_seed_plusplus_budget_check():
         ql.seed_plusplus(cloud, 3, seed=0)
 
 
+def test_seed_plusplus_refuses_a_non_finite_score_sum():
+    # squared distances overflow to inf; the draw refuses them, as
+    # rng.choice(p=...) did
+    cloud = cloud_from_points([[0.0], [1e200], [-1e200]])
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        ql.seed_plusplus(cloud, 2, seed=0)
+
+
 def test_seed_plusplus_hits_both_clusters():
     rng = np.random.default_rng(0)
     pts = np.concatenate([rng.normal(0, 0.05, size=(50, 1)),
@@ -255,18 +263,22 @@ def test_bounded_lloyd_matches_full_query(d, N, p, kind, n, far_site, seed):
     rng = np.random.default_rng(seed)
     W = _working_sample(kind, n, d, rng)
     cols = np.ascontiguousarray(W.T)
-    S0 = _seed_pp(cols, np.full(n, 1.0), N, rng)  # may repeat a site: ties
+    S0, near, second = _seed_pp(cols, np.full(n, 1.0), N, rng)  # may repeat a site: ties
+    lower = np.sqrt(second)
     far_site = far_site and N >= 2
     if far_site:  # its cell is empty in the first step, which reseeds it
         S0[-1] = 10.0
+        near, lower = np.zeros(n, dtype=np.intp), np.zeros(n)  # no information
+    # the first pass queries every point the seeded bound does not keep
+    first = np.count_nonzero(~(_dist(cols, S0, near) < lower * (1.0 - 1e-12)))
     max_iters = 12 if p == 2.0 else 6
     cfg = ql.SolverConfig(max_iters=max_iters, rel_tol=1e-12)
-    S, v_hist, converged, requeried = _lloyd_restart(cols, S0.copy(), p, cfg)
+    S, v_hist, converged, requeried = _lloyd_restart(cols, S0.copy(), p, cfg, near, lower)
     S_ref, v_ref, conv_ref, reseeds = _full_query_restart(W, S0.copy(), p, cfg)
     assert np.array_equal(S, S_ref)
     assert v_hist == v_ref
     assert converged == conv_ref
-    assert len(requeried) == len(v_hist) and requeried[0] == n
+    assert len(requeried) == len(v_hist) and requeried[0] == first
     assert all(0 <= k <= n for k in requeried)
     if far_site and len(v_hist) > 1:
         assert reseeds >= 1
@@ -278,9 +290,9 @@ def test_bounded_lloyd_high_dimension():
     rng = np.random.default_rng(4)
     W = rng.normal(size=(3000, 8))
     cols = np.ascontiguousarray(W.T)
-    S0 = _seed_pp(cols, np.full(len(W), 1.0), 10, rng)
+    S0, near, second = _seed_pp(cols, np.full(len(W), 1.0), 10, rng)
     cfg = ql.SolverConfig(max_iters=25, rel_tol=1e-12)
-    S, v_hist, _, requeried = _lloyd_restart(cols, S0.copy(), 2.0, cfg)
+    S, v_hist, _, requeried = _lloyd_restart(cols, S0.copy(), 2.0, cfg, near, np.sqrt(second))
     S_ref, v_ref, _, _ = _full_query_restart(W, S0.copy(), 2.0, cfg)
     assert np.array_equal(S, S_ref)
     assert len(v_hist) == len(v_ref)
@@ -310,7 +322,9 @@ def test_separation_test_edge_cases_match_full_query(name, p, queried):
     W, S0 = _separation_case(name)
     cols = np.ascontiguousarray(W.T)
     cfg = ql.SolverConfig(max_iters=8, rel_tol=1e-12)
-    S, v_hist, converged, requeried = _lloyd_restart(cols, S0.copy(), p, cfg)
+    # sites placed by hand: the zero state, so the first pass queries every point
+    S, v_hist, converged, requeried = _lloyd_restart(
+        cols, S0.copy(), p, cfg, np.zeros(len(W), dtype=np.intp), np.zeros(len(W)))
     S_ref, v_ref, conv_ref, _ = _full_query_restart(W, S0.copy(), p, cfg)
     assert np.array_equal(S, S_ref)
     assert v_hist == v_ref
@@ -329,6 +343,24 @@ def test_bounded_lloyd_requeries_few_points_on_a_curve():
     # points well inside their cell are kept by half the separation even
     # while every site moves; the lower bound alone re-queried 3.3% a pass
     assert np.mean(requeried[10:]) < 0.015 * 4000
+
+
+@pytest.mark.parametrize("m", [ql.hausdorff_curve_measure(ql.quarter_circle(256)),
+                               ql.uniform_box([0, 0], [1, 1])], ids=["curve", "box"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_lloyd_from_its_seeding_matches_full_query(m, p):
+    # lloyd starts each restart from the seeding's assignment and bound; its
+    # result is that of a full query in every iteration from the same seeds
+    cfg = ql.SolverConfig(restarts=1, max_iters=15, working_sample=3000,
+                          eval_samples=1000, rel_tol=1e-12)
+    q = ql.lloyd(m, 9, p, cfg, seed=4)
+    W = ql.sample(m, 3000, ql.derive_seed(4, "work")).points
+    rng = np.random.default_rng(ql.derive_seed(4, "restart", 0))
+    S0 = _seed_pp(np.ascontiguousarray(W.T), np.full(len(W), 1.0), 9, rng)[0]
+    S_ref, v_ref, _, _ = _full_query_restart(W, S0, p, cfg)
+    assert q.provenance.details["v_history"] == v_ref
+    assert np.array_equal(q.points, S_ref[np.lexsort(S_ref.T[::-1])])
+    assert q.provenance.details["requeried"][0] < 3000
 
 
 _NORMAL = np.finfo(float).tiny
@@ -412,9 +444,16 @@ def test_seed_pp_matches_the_row_formula(kind, d):
     W = _working_sample(kind, 2000, d, rng)
     w = rng.random(len(W)) + 0.5
     for N, seed in [(1, 0), (7, 1), (40, 2), (150, 3)]:
-        got = _seed_pp(np.ascontiguousarray(W.T), w, N, np.random.default_rng(seed))
+        got, near, second = _seed_pp(np.ascontiguousarray(W.T), w, N,
+                                     np.random.default_rng(seed))
         ref = _seed_pp_rows(W, w, N, np.random.default_rng(seed))
         assert np.array_equal(got, ref)
+        # brute force over the seeds, in the order chosen: argmin keeps the
+        # first chosen of equal distances
+        D = np.column_stack([np.sum((W - s) ** 2, axis=1) for s in got])
+        assert np.array_equal(near, np.argmin(D, axis=1))
+        second_ref = np.sort(D, axis=1)[:, 1] if N > 1 else np.full(len(W), np.inf)
+        assert np.array_equal(second, second_ref)
 
 
 # --- reference copies of the row code the columns replaced -------------------
@@ -625,7 +664,8 @@ def test_lloyd_reports_requeried_points():
     q = ql.lloyd(m, 9, 2, cfg, seed=2)
     requeried = q.provenance.details["requeried"]
     assert len(requeried) == len(q.provenance.details["v_history"])
-    assert requeried[0] == 5000
+    # the seeding's two nearest seeds keep every point: no sample point ties
+    assert requeried[0] == 0
     assert max(requeried[1:]) < 5000
 
 
