@@ -268,10 +268,10 @@ def quantizability_probe(m: Measure, p, s: float, mass_fractions,
     """Upper-coefficient estimates on shrinking tail sub-measures.
 
     For each fraction, the measure is restricted to the points farthest from
-    a base point holding roughly that much mass, and the Lloyd pipeline's
-    tail maximum estimates the upper coefficient. A decreasing column is
-    consistent with (p, s)-quantizability; this diagnostic can falsify but
-    never certify it.
+    a base point holding roughly that much mass, and the tail maximum of
+    `solver_for`'s Lloyd pipeline estimates the upper coefficient. A
+    decreasing column is consistent with (p, s)-quantizability; this
+    diagnostic can falsify but never certify it.
     """
     p = check_order(p)
     rows = []
@@ -288,10 +288,8 @@ def quantizability_probe(m: Measure, p, s: float, mass_fractions,
         else:
             r_cut = float(np.quantile(dists, 1.0 - frac))
             sub = restrict(m, lambda x, _r=r_cut: math.dist(x.tolist(), c0) >= _r)
-        errs = []
-        for n in budgets:
-            q = lloyd(sub, n, p, cfg=cfg, seed=derive_seed(seed, "probe", frac, n))
-            errs.append(q.error.value)
+        _, solve = solver_for(sub, p, "lloyd", cfg=cfg)
+        errs = [solve(n, derive_seed(seed, "probe", frac, n)).error.value for n in budgets]
         series = make_series(list(budgets), errs, p, s)
         tail = series.scaled[-max(len(budgets) // 2, 1):]
         rows.append(ProbeRow(float(frac), sub.total_mass, float(tail.max())))

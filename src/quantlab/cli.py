@@ -19,6 +19,7 @@ import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .asymptotics import (coeff_sequence, estimate_coefficients, make_series,
@@ -133,6 +134,7 @@ class ConfigError(Exception):
 
 
 def validate_config(cfg: dict) -> None:
+    # imported here: it takes about 0.12 s, and only `run` validates
     import jsonschema
 
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
@@ -227,21 +229,21 @@ def _task_error(cfg, out):
     return {"error": est.to_json()}
 
 
-def _series_pipeline(cfg):
+def _series(cfg, out):
+    """The config's measure, p, scaled series from `coeff_sequence` (written
+    to series.csv) and its tail estimate."""
     m = build_measure(cfg["measure"])
     p = float(cfg.get("p", 2))
-    s = float(cfg.get("s", m.intrinsic_dim))
     sol = cfg.get("solver", {})
-    series = coeff_sequence(m, p, s, cfg["budgets"], sol.get("name", "auto"),
-                            derive_seed(cfg["seed"], "coeff"), _solver_config(cfg),
-                            sol.get("grid_size"))
-    return m, p, s, series
+    series = coeff_sequence(m, p, float(cfg.get("s", m.intrinsic_dim)), cfg["budgets"],
+                            sol.get("name", "auto"), derive_seed(cfg["seed"], "coeff"),
+                            _solver_config(cfg), sol.get("grid_size"))
+    write_series_csv(os.path.join(out, "series.csv"), series)
+    return m, p, series, estimate_coefficients(series, cfg.get("tail_fraction", 0.5))
 
 
 def _task_coeff(cfg, out):
-    m, p, s, series = _series_pipeline(cfg)
-    write_series_csv(os.path.join(out, "series.csv"), series)
-    est = estimate_coefficients(series, cfg.get("tail_fraction", 0.5))
+    _, _, series, est = _series(cfg, out)
     return {
         "series": [list(r) for r in series.rows()],
         "estimates": {"lower": est.lower, "upper": est.upper,
@@ -251,9 +253,7 @@ def _task_coeff(cfg, out):
 
 
 def _task_zador_check(cfg, out):
-    m, p, s, series = _series_pipeline(cfg)
-    write_series_csv(os.path.join(out, "series.csv"), series)
-    est = estimate_coefficients(series, cfg.get("tail_fraction", 0.5))
+    m, p, _, est = _series(cfg, out)
     pred = zador_prediction(m, 1, p)
     tol = cfg.get("tolerance", 0.05)
     verdict = all(abs(v / pred - 1.0) <= tol for v in (est.lower, est.upper))
@@ -295,8 +295,7 @@ def _task_bounds(cfg, out):
     upper = conc_upper_bound(float(b["theta_lower"]), s, p, mass)
     result = {"lower": lower.to_json(), "upper": upper.to_json()}
     if "budgets" in cfg and "measure" in cfg:
-        _, _, _, series = _series_pipeline(cfg)
-        est = estimate_coefficients(series, cfg.get("tail_fraction", 0.5))
+        est = _series(cfg, out)[3]
         result["sandwich"] = sandwich_check((est.lower, est.upper), lower, upper,
                                             slack=cfg.get("tolerance", 0.0))
     return result
@@ -386,8 +385,6 @@ def run_config(cfg: dict, out_dir: str, verbose: bool = False) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
     results = _TASK_FN[cfg["task"]](cfg, out_dir)
-    import scipy
-
     report = {
         "task": cfg["task"],
         "config": cfg,

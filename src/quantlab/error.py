@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from .measures import Measure
+from .measures import Measure, sample as sample_measure
 from .spatial import _as_sites
 
 INF = math.inf
@@ -188,8 +188,6 @@ def error_mc(m: Measure, S, p, n: int, seed) -> ErrorEstimate:
     p = check_order(p)
     if n < 100:
         raise ValueError("n must be >= 100")
-    from .measures import sample as sample_measure
-
     dist = cKDTree(_as_sites(S, m.ambient_dim)).query(sample_measure(m, n, seed).points)[0]
 
     if math.isinf(p):

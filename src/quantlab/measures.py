@@ -10,6 +10,7 @@ errors through the mass explicitly.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -30,8 +31,6 @@ _N_GRID = 4096
 
 def derive_seed(seed, *parts):
     """Deterministic child-seed sequence for (seed, part, part, ...)."""
-    import zlib
-
     out = list(np.atleast_1d(np.asarray(seed, dtype=object)).ravel())
     for p in parts:
         out.append(zlib.crc32(repr(p).encode()))
@@ -206,7 +205,7 @@ class Curve:
     """Polyline in R^d with an exact cumulative arc-length table."""
 
     vertices: np.ndarray
-    cum_length: np.ndarray = field(default=None)
+    cum_length: np.ndarray = field(init=False)
 
     def __post_init__(self):
         v = _as_points(self.vertices)

@@ -434,11 +434,23 @@ def _p2_costs(mass, m1, m2):
     return np.where(mass > 0, np.maximum(m2, 0.0, out=m2), 0.0)
 
 
+def _p1_costs(law, ml, mr, ls, rs):
+    """p = 1 medians and costs of the cells [ls, rs] from the law's moments
+    ml, mr at their edges; the DP build and the oracle share it."""
+    (m0l, m1l, _), (m0r, m1r, _) = ml, mr
+    mass = m0r - m0l
+    med = np.where(mass > 0, law.ppf(0.5 * (m0l + m0r)), 0.5 * (ls + rs))
+    m0m, m1m, _ = law.moments(med)
+    t = med - law.lo  # the moments are about lo
+    costs = (m1r - m1m) - t * (m0r - m0m) + t * (m0m - m0l) - (m1m - m1l)
+    return med, np.maximum(np.where(mass > 0, costs, 0.0), 0.0)
+
+
 class _CellOracle:
     """Optimal single-point cost of interval cells [l, r] for one (law, p).
 
-    p in {1, 2} works from cumulative moments and a constant density from
-    its closed form, so neither re-integrates the density. Other p find the
+    p in {1, 2} prices cells from moments (`_p1_costs`, `_p2_costs`) and a
+    constant density by its closed form, so neither re-integrates. Other p find the
     centre by safeguarded Newton on the first-order condition (`_centers`)
     and integrate the cost with `Law1D.cell_integral`, which splits every
     cell at its centre and at the law's breakpoints, so no kink or jump falls
@@ -449,34 +461,26 @@ class _CellOracle:
     def __init__(self, law: Law1D, p: float):
         self.law = law
         self.p = float(p)
-        self.constant = law.constant
 
-    def centers_costs(self, ls, rs, moments_l=None, moments_r=None):
+    def centers_costs(self, ls, rs):
         ls = np.asarray(ls, dtype=float)
         rs = np.asarray(rs, dtype=float)
-        if self.constant is not None:
+        law = self.law
+        if law.constant is not None:
             h = np.maximum(rs - ls, 0.0)
             centers = 0.5 * (ls + rs)
-            costs = self.constant * 2.0 * (h / 2.0) ** (self.p + 1) / (self.p + 1)
+            costs = law.constant * 2.0 * (h / 2.0) ** (self.p + 1) / (self.p + 1)
             return centers, costs
-        if self.p in (1.0, 2.0):
-            m0l, m1l, m2l = moments_l if moments_l is not None else self.law.moments(ls)
-            m0r, m1r, m2r = moments_r if moments_r is not None else self.law.moments(rs)
-            mass = m0r - m0l
-            if self.p == 2.0:
-                m1 = m1r - m1l
-                centers = np.where(mass > 0, self.law.lo + m1 / np.maximum(mass, 1e-300),
-                                   0.5 * (ls + rs))
-                return centers, _p2_costs(mass, m1, m2r - m2l)
-            med = self.law.ppf(0.5 * (m0l + m0r))
-            med = np.where(mass > 0, med, 0.5 * (ls + rs))
-            m0m, m1m, _ = self.law.moments(med)
-            t = med - self.law.lo  # the moments are about lo
-            costs = (m1r - m1m) - t * (m0r - m0m) + t * (m0m - m0l) - (m1m - m1l)
-            return med, np.maximum(np.where(mass > 0, costs, 0.0), 0.0)
+        if self.p == 1.0:
+            return _p1_costs(law, law.moments(ls), law.moments(rs), ls, rs)
+        if self.p == 2.0:
+            (m0l, m1l, m2l), (m0r, m1r, m2r) = law.moments(ls), law.moments(rs)
+            mass, m1 = m0r - m0l, m1r - m1l
+            centers = np.where(mass > 0, law.lo + m1 / np.maximum(mass, 1e-300),
+                               0.5 * (ls + rs))
+            return centers, _p2_costs(mass, m1, m2r - m2l)
         centers = self._centers(ls, rs)
-        return centers, self.law.cell_integral(ls, rs, centers,
-                                               lambda y: np.abs(y) ** self.p)
+        return centers, law.cell_integral(ls, rs, centers, lambda y: np.abs(y) ** self.p)
 
     def _centers(self, ls, rs):
         """Root of F(a) = integral of sign(x-a)|x-a|^(p-1) rho, decreasing in a.
@@ -609,7 +613,6 @@ class Dp1dSolver:
                                     512 if general else 2048))
         if grid_size < 4 * n_max:
             raise ValueError("grid_size must be at least 4N")
-        self.measure = m
         self.p = p
         self.n_max = int(n_max)
         self.grid = np.linspace(law.lo, law.hi, grid_size + 1)
@@ -645,16 +648,16 @@ class Dp1dSolver:
         cells earlier ones priced, and a cost depends only on its own cell, so
         the memo changes no bit.
         """
-        grid, oracle = self.grid, self.oracle
-        if oracle.constant is not None or self.p not in (1.0, 2.0):
+        grid, oracle, law = self.grid, self.oracle, self.oracle.law
+        if law.constant is not None or self.p not in (1.0, 2.0):
             price = lambda i, j: oracle.centers_costs(grid[i], grid[j])[1]
         else:
-            nodal = oracle.law.moments(grid)  # one pass; cells index into it
+            nodal = law.moments(grid)  # one pass; cells index into it
             if self.p == 2.0:
                 return lambda i, j: _p2_costs(*(nodal.take(j, 1) - nodal.take(i, 1)))
-            price = lambda i, j: oracle.centers_costs(
-                grid[i], grid[j], moments_l=nodal.take(i, 1), moments_r=nodal.take(j, 1))[1]
-        if oracle.constant is not None:
+            price = lambda i, j: _p1_costs(law, nodal.take(i, 1), nodal.take(j, 1),
+                                           grid[i], grid[j])[1]
+        if law.constant is not None:
             return price
         memo = np.full((grid.size, grid.size), np.nan)
 

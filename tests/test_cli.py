@@ -243,6 +243,24 @@ def test_bounds_task_with_sandwich(tmp_path):
     assert res["lower"]["value"] == pytest.approx(0.28867513, abs=1e-7)
 
 
+def test_series_tasks_write_one_series_csv(tmp_path):
+    # coeff, zador-check and bounds with budgets and a measure share one
+    # series pipeline, series.csv included
+    base = {"seed": 5, "p": 2, "s": 1.0, "budgets": [2, 4, 8, 16],
+            "measure": {"kind": "density1d", "support": [0, 1],
+                        "density": {"form": "poly", "coeffs": [0, 2]}}}
+    extra = {"coeff": {}, "zador-check": {},
+             "bounds": {"bounds": {"theta_lower": 1.0, "theta_upper": 2.0}}}
+    texts = []
+    for task, more in extra.items():
+        cfg = write_cfg(tmp_path, f"{task}.json", dict(base, task=task, **more))
+        out = str(tmp_path / task)
+        assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "series.csv")) as fh:
+            texts.append(fh.read())
+    assert texts[0].startswith("N,e_N,scaled") and texts.count(texts[0]) == 3
+
+
 def test_build_measure_curve_requires_shape_or_vertices():
     with pytest.raises(ConfigError):
         build_measure({"kind": "curve"})

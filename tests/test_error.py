@@ -90,6 +90,21 @@ def test_curve_quarter_circle_sup_to_endpoints():
     assert est.method == "sup"
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, np.inf])
+def test_curve_error_scales_under_similarity_maps(p):
+    # x -> c + lam x pushes arc length on a curve to arc length on its image,
+    # so e_p at the pushed sites is |lam| e_p; c is small enough that the
+    # map's own rounding stays below 1e-12 of the image at lam = 1e-3
+    V = ql.quarter_circle(64).vertices
+    S = np.array([[1.0, 0.0], [0.8, 0.7], [0.1, 1.1], [0.5, 0.2]])
+    ref = ql.error_curve(ql.curve_measure(ql.Curve(V)), S, p)
+    c = np.array([-1.5, 2.0])
+    for lam in (1e-3, -1.0, 1e3, -1e-3):
+        est = ql.error_curve(ql.curve_measure(ql.Curve(c + lam * V)), c + lam * S, p)
+        assert est.value == pytest.approx(abs(lam) * ref.value, rel=1e-12, abs=0)
+        assert est.method == ref.method
+
+
 def _envelope_error_p2(vertices, sites):
     """e_2 of arc length on a polyline, with no tree: on every segment all
     pairwise crossings of the sites' lines t -> |A + t u - s|^2 - t^2 cut it

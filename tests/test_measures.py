@@ -147,6 +147,14 @@ def test_degenerate_curve_rejected():
         ql.curve_measure(ql.Curve(np.array([[0.0, 0.0], [0.0, 0.0]])))
 
 
+def test_curve_computes_its_own_arc_length_table():
+    # a cum_length argument was accepted and silently replaced
+    c = ql.Curve([[0.0, 0.0], [3.0, 4.0]])
+    assert np.array_equal(c.cum_length, [0.0, 5.0])
+    with pytest.raises(TypeError):
+        ql.Curve([[0.0, 0.0], [3.0, 4.0]], cum_length=np.array([0.0, 1.0]))
+
+
 def test_curve_mass_preserved():
     c = ql.quarter_circle(512)
     law = ql.Law1D(lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
