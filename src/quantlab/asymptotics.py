@@ -60,16 +60,18 @@ def solver_for(m: Measure, p, solver: str = "auto", n_max: int = 1,
                cfg: SolverConfig | None = None, grid_size: int | None = None):
     """The one solver table: the resolved name and solve(N, seed) -> Quantizer.
 
-    "auto" is "cantor" for an IFS at p = inf, "dp" for a density1d at finite
-    p, else "lloyd" (with cfg). "dp" is one exact `Dp1dSolver` build for
-    every N <= n_max. "cantor" (the middle-thirds IFS: exact covers) and
-    "farthest-point" (the greedy cover of cfg.sample_size(d) draws, Lloyd's
-    working sample) serve p = inf only. Any other case raises ValueError.
+    "auto" is "cantor" for an IFS at p = inf, "dp" at finite p for a measure
+    with a 1D law and no curve (a density1d), else "lloyd" (with cfg). "dp"
+    is one exact `Dp1dSolver` build for every N <= n_max. "cantor" (the
+    middle-thirds IFS: exact covers) and "farthest-point" (the greedy cover
+    of cfg.sample_size(d) draws, Lloyd's working sample) serve p = inf only.
+    Any other case raises ValueError.
     """
     p = check_order(p)
     if solver == "auto":
         solver = ("cantor" if math.isinf(p) and m.kind == "ifs" else
-                  "dp" if m.kind == "density1d" and not math.isinf(p) else "lloyd")
+                  "dp" if m.law is not None and m.curve is None and not math.isinf(p)
+                  else "lloyd")
     if solver == "dp":
         dp = Dp1dSolver(m, p, n_max=n_max, grid_size=grid_size)
         return solver, lambda N, seed: dp.solve(N)
@@ -155,11 +157,12 @@ def zador_constant_1d(p) -> float:
 def zador_functional(m: Measure, m_dim: int, p, n_mc: int = 1 << 16, seed=0) -> float:
     """Density functional (integral of rho^(m/(m+p)))^((m+p)/(mp)).
 
-    Declared densities only: 1D and curve measures integrate their law
-    exactly, uniform boxes in closed form, and other absolutely continuous
-    measures (restrictions included) use the Monte Carlo form
-    E_mu[rho^(-p/(d+p))]. The singular kinds without a density (empirical,
-    IFS) contribute zero; any other measure without a density is an error.
+    Declared densities only: a measure with a law (1D and curve measures)
+    integrates it exactly, and a measure with a density (boxes and
+    restrictions included) uses the Monte Carlo form E_mu[rho^(-p/(d+p))],
+    exact to rounding on a constant density. A measure with neither
+    contributes zero when its intrinsic dimension is below m_dim (singular
+    to H^m: empirical, the Cantor IFS); any other is an error.
     """
     p = check_finite_order(p)
     exponent = m_dim / (m_dim + p)
@@ -177,18 +180,10 @@ def zador_functional(m: Measure, m_dim: int, p, n_mc: int = 1 << 16, seed=0) -> 
         return total ** outer
 
     if m.density is None:
-        if m.kind in ("empirical", "ifs"):
+        if m.intrinsic_dim < m_dim:
             return 0.0
         raise ValueError(f"measure of kind '{m.kind}' has no declared density "
-                         "and is not a singular kind")
-
-    if m.kind == "uniform-box":
-        if m_dim != m.ambient_dim:
-            raise ValueError("uniform box density is m_dim = ambient_dim")
-        lo, hi = m.support_box
-        vol = float(np.prod(np.asarray(hi) - np.asarray(lo)))
-        rho = m.total_mass / vol
-        return (rho ** exponent * vol) ** outer
+                         f"and is not singular to H^{m_dim}")
 
     # generic a.c. measure: integral rho^(m/(m+p)) d(ref) = E_mu[rho^(-p/(m+p))]
     if m_dim != m.ambient_dim:

@@ -1,8 +1,8 @@
 """Quantization error e_p(mu; S) evaluators and p-sum utilities.
 
-Three routes: exact adaptive quadrature for 1D densities, exact nearest-site
-pieces of arc length for curves, Monte Carlo with confidence information
-otherwise. All evaluators are pure given (measure, S, p, seed).
+Three routes, by what a measure carries: exact nearest-site pieces of arc
+length for a curve, exact quadrature for a 1D law, Monte Carlo with confidence
+information otherwise. All evaluators are pure given (measure, S, p, seed).
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ class ErrorEstimate:
 
 
 def error_exact_1d(m: Measure, S, p) -> ErrorEstimate:
-    """Exact e_p for a 1D density measure by adaptive quadrature over each
-    site's Voronoi cell clipped to `Law1D.hull`; at p = inf the largest
-    distance from a site to the farther end of its cell's hull."""
+    """Exact e_p on the line through the measure's law (a density1d): adaptive
+    quadrature over each site's Voronoi cell clipped to `Law1D.hull`; at p = inf
+    the largest distance from a site to the farther end of its cell's hull."""
     p = check_order(p)
-    if m.law is None or m.kind != "density1d":
+    if m.law is None or m.curve is not None:
         raise ValueError("error_exact_1d needs a density1d measure")
     s = np.unique(_as_sites(S, 1))
     law = m.law
@@ -158,7 +158,7 @@ def error_curve(m: Measure, S, p) -> ErrorEstimate:
     largest distance at an end of a piece of positive mass.
     """
     p = check_order(p)
-    if m.kind != "curve":
+    if m.curve is None:
         raise ValueError("error_curve needs a curve measure")
     S = _as_sites(S, m.curve.d)
     law, cum, tree = m.law, m.curve.cum_length, cKDTree(S)
@@ -200,10 +200,11 @@ def error_mc(m: Measure, S, p, n: int, seed) -> ErrorEstimate:
 
 
 def error_eval(m: Measure, S, p, n_mc: int = 1 << 19, seed=0) -> ErrorEstimate:
-    """Route by kind: exact quadrature for density1d, exact arc-length pieces
-    for curves, Monte Carlo for every other kind (restrictions included)."""
-    if m.kind == "density1d":
-        return error_exact_1d(m, S, p)
-    if m.kind == "curve":
+    """Route by what the measure carries: exact arc-length pieces for a curve,
+    exact quadrature for a 1D law (a density1d), Monte Carlo for a measure
+    with neither (restrictions included)."""
+    if m.curve is not None:
         return error_curve(m, S, p)
+    if m.law is not None:
+        return error_exact_1d(m, S, p)
     return error_mc(m, S, p, n_mc, seed)

@@ -53,6 +53,10 @@ class Law1D:
     mass, at the grid's resolution. `constant` is the density's value when it is
     equal at every quadrature node of the grid, else None; a constant law
     takes closed-form cell costs in the DP and an affine quantile.
+
+    The DP and the exact evaluators read a law only through `lo`, `hi`,
+    `mass`, `breakpoints`, `grid`, `constant`, `pdf`, `moments`, `cdf`/`ppf`,
+    `hull` and `cell_integral`.
     """
 
     def __init__(self, pdf, lo, hi, breakpoints=()):
@@ -287,6 +291,10 @@ class Measure:
     mass. `ball_measure(x, r)` returns the exact mass of the open ball when
     available. Every density1d carries its `law`, and every curve its
     `curve` and its `law` on arc length, whose `pdf` is the curve's density.
+
+    Consumers route by `curve`, then `law`, then `density`, and read
+    `intrinsic_dim` to tell a singular measure; `kind` and `label` only name
+    a measure and seed its restriction (`solver_for`'s p = inf IFS row aside).
     """
 
     kind: str
@@ -298,7 +306,6 @@ class Measure:
     ball_measure: Optional[Callable] = field(default=None, repr=False)
     law: Optional[Law1D] = field(default=None, repr=False)
     curve: Optional[Curve] = field(default=None, repr=False)
-    support_box: Optional[tuple] = None
     label: str = ""
 
     def sample_rng(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -341,7 +348,7 @@ def density1d(pdf, support, breakpoints=(), normalize=True, label="") -> Measure
         sampler=lambda rng, n, _l=law: _l.sample(rng, n).reshape(n, 1),
         density=lambda x, _l=law: np.asarray(_l.pdf(np.asarray(x, dtype=float))),
         ball_measure=lambda x, r, _l=law: _l.ball_mass(float(_as_point(x, 1)[0]), r),
-        law=law, support_box=((lo,), (hi,)), label=label or "density1d",
+        law=law, label=label or "density1d",
     )
 
 
@@ -441,8 +448,7 @@ def uniform_box(lo, hi) -> Measure:
         kind="uniform-box", ambient_dim=d, intrinsic_dim=float(d), total_mass=1.0,
         sampler=lambda rng, n, _lo=lo, _hi=hi: rng.uniform(_lo, _hi, size=(n, d)),
         density=lambda x, _r=rho, _d=d: np.full(len(_as_points(x, _d)), _r),
-        ball_measure=ball, support_box=(tuple(lo), tuple(hi)),
-        label=f"uniform-box(d={d})",
+        ball_measure=ball, label=f"uniform-box(d={d})",
     )
 
 
@@ -483,12 +489,10 @@ def curve_measure(c: Curve, density1d_law=None, normalize=True) -> Measure:
         if normalize:
             law = _normalized(law)
 
-    lo = c.vertices.min(axis=0)
-    hi = c.vertices.max(axis=0)
     return Measure(
         kind="curve", ambient_dim=c.d, intrinsic_dim=1.0, total_mass=law.mass,
         sampler=lambda rng, n, _c=c, _l=law: _c.point_at(_l.sample(rng, n)),
-        law=law, curve=c, support_box=(tuple(lo), tuple(hi)), label="curve",
+        law=law, curve=c, label="curve",
     )
 
 
@@ -529,13 +533,10 @@ def ifs_measure(spec: IfsSpec, depth: int = 40) -> Measure:
             x = _s.ratios[w, None] * x + _s.offsets[w]
         return x
 
-    lo = spec.offsets.min(axis=0)
-    hi = (spec.offsets + spec.ratios[:, None]).max(axis=0)  # rough hull bound
     cantor = (spec.d == 1 and np.all(spec.ratios == 1.0 / 3.0) and np.all(spec.weights > 0)
               and np.array_equal(np.sort(spec.offsets.ravel()), [0.0, 2.0 / 3.0]))
     return Measure(kind="ifs", ambient_dim=spec.d, intrinsic_dim=spec.similarity_dim,
-                   total_mass=1.0, sampler=sampler, support_box=(tuple(lo), tuple(hi)),
-                   label="cantor" if cantor else "ifs")
+                   total_mass=1.0, sampler=sampler, label="cantor" if cantor else "ifs")
 
 
 def cantor_ifs(weights=(0.5, 0.5)) -> IfsSpec:
@@ -567,38 +568,36 @@ def restrict(m: Measure, predicate) -> Measure:
     """Sub-measure of kind "restricted", rejection-sampled against a predicate.
 
     The acceptance rate on a fixed calibration draw estimates the retained
-    mass. The result keeps the sampler, that mass, the support box and, when
-    m has a density, the density times the indicator; it has no law,
-    curve or ball function, so evaluators treat it as a sampled measure.
+    mass. The result keeps the sampler, that mass and, when m has a density,
+    the density times the indicator; it has no law, curve or ball function,
+    so evaluators treat it as a sampled measure.
     """
+    def inside(x):
+        """The predicate's truth at each point of x: one call per point, in order."""
+        return np.array([bool(predicate(q)) for q in _as_points(x, m.ambient_dim)], dtype=bool)
+
     rng = np.random.default_rng(derive_seed(_CALIBRATION_SEED, m.kind, m.label))
-    cal = _as_points(m.sample_rng(rng, _CALIBRATION_N), m.ambient_dim)
-    rate = np.count_nonzero([bool(predicate(p)) for p in cal]) / _CALIBRATION_N
+    rate = np.count_nonzero(inside(m.sample_rng(rng, _CALIBRATION_N))) / _CALIBRATION_N
     if rate < 1e-4:
         raise ValueError("region too small")
 
-    def sampler(rng_, n, _m=m, _pred=predicate):
+    def sampler(rng_, n):
         out = []
         got = 0
         while got < n:
-            batch = _as_points(_m.sample_rng(rng_, max(n, 1024)), _m.ambient_dim)
-            ok = np.asarray([bool(_pred(p)) for p in batch])
-            sel = batch[ok]
+            batch = _as_points(m.sample_rng(rng_, max(n, 1024)), m.ambient_dim)
+            sel = batch[inside(batch)]
             out.append(sel)
             got += len(sel)
         return np.concatenate(out)[:n]
 
     dens = None
     if m.density is not None:
-        def dens(x, _m=m, _pred=predicate):
-            x = np.asarray(x, dtype=float)
-            base = np.asarray(_m.density(x), dtype=float)
-            pts = _as_points(x, _m.ambient_dim)
-            ind = np.asarray([1.0 if _pred(p) else 0.0 for p in pts])
-            return base * ind.reshape(base.shape)
+        def dens(x):
+            base = np.asarray(m.density(np.asarray(x, dtype=float)), dtype=float)
+            return base * inside(x).reshape(base.shape)
 
     return Measure(kind="restricted", ambient_dim=m.ambient_dim,
                    intrinsic_dim=m.intrinsic_dim,
                    total_mass=rate * m.total_mass, sampler=sampler,
-                   density=dens, support_box=m.support_box,
-                   label=m.label + "|restricted")
+                   density=dens, label=m.label + "|restricted")

@@ -604,7 +604,7 @@ class Dp1dSolver:
 
     def __init__(self, m: Measure, p, n_max: int, grid_size: int | None = None):
         p = check_finite_order(p)
-        if m.kind != "density1d" or m.law is None:
+        if m.law is None or m.curve is not None:
             raise ValueError("dp solver needs a density1d measure with an exact law")
         law = m.law
         general = law.constant is None and p not in (1.0, 2.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import quantlab as ql
+from quantlab.asymptotics import solver_for
 
 
 def test_coeff_sequence_uniform_dp():
@@ -351,3 +353,49 @@ def test_zador_functional_densityless_mixture_raises():
     mix = ql.decaying_mixture(ql.lebesgue_halfline(), 0.0, 2.0, 4.0, 1.0)
     with pytest.raises(ValueError, match="no declared density"):
         ql.zador_functional(mix.measure, 1, 2)
+
+
+def test_routes_follow_the_law_not_the_kind():
+    # a density1d renamed keeps its law, so every exact 1D path still takes it
+    lin = ql.density1d(lambda x: 2 * np.asarray(x), (0, 1))
+    other = dataclasses.replace(lin, kind="other")
+    sites = [[0.2], [0.7]]
+    exact = ql.error_eval(lin, sites, 2)
+    assert ql.error_eval(other, sites, 2) == exact and exact.method == "exact1d"
+    assert solver_for(other, 2, "auto", 8)[0] == "dp"
+    assert (ql.Dp1dSolver(other, 2, n_max=8).solve(8).error
+            == ql.Dp1dSolver(lin, 2, n_max=8).solve(8).error)
+
+
+def test_routes_follow_the_curve_not_the_kind():
+    arc = ql.hausdorff_curve_measure(ql.quarter_circle(64))
+    other = dataclasses.replace(arc, kind="other")
+    sites = [[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]]
+    assert ql.error_eval(other, sites, 2) == ql.error_curve(arc, sites, 2)
+    assert solver_for(other, 2, "auto", 8)[0] == "lloyd"
+    with pytest.raises(ValueError, match="density1d"):
+        ql.Dp1dSolver(other, 2, n_max=4)
+
+
+def test_zador_functional_is_zero_on_restricted_singular_measures():
+    cantor = ql.restrict(ql.ifs_measure(ql.cantor_ifs(), depth=20), lambda x: x[0] <= 0.5)
+    cloud = ql.restrict(ql.empirical([[0.0], [1.0], [3.0]]), lambda x: x[0] <= 1.5)
+    assert ql.zador_functional(cantor, 1, 2) == 0.0
+    assert ql.zador_functional(cloud, 1, 2) == 0.0
+
+
+def test_zador_functional_of_a_self_similar_interval_raises():
+    # the maps x/2 and x/2 + 1/2 give Lebesgue measure on [0, 1]: not singular
+    uni = ql.ifs_measure(ql.IfsSpec((0.5, 0.5), [[0], [0.5]], (0.5, 0.5)))
+    with pytest.raises(ValueError, match="no declared density"):
+        ql.zador_functional(uni, 1, 2)
+
+
+@pytest.mark.parametrize("lo, hi, p", [([0, 0], [2, 3], 2.0), ([0, 0, 0], [1, 1, 2], 1.5)])
+def test_zador_functional_of_a_box_is_its_closed_form(lo, hi, p):
+    # the Monte Carlo integrand rho^(-p/(m+p)) is constant on a box
+    m = len(lo)
+    vol = float(np.prod(np.subtract(hi, lo)))
+    closed = ((1 / vol) ** (m / (m + p)) * vol) ** ((m + p) / (m * p))
+    got = ql.zador_functional(ql.uniform_box(lo, hi), m, p)
+    assert abs(got - closed) <= 4 * np.spacing(closed)

@@ -1,5 +1,7 @@
 """Source checks that need no import of the package: every name a module
-imports is used in it, so a dead import cannot come back unseen."""
+imports is used in it, so a dead import cannot come back unseen, and a
+measure's `kind` routes in one place only, so consumers read what a measure
+carries (its curve, law, density and intrinsic dimension) instead."""
 
 import ast
 from pathlib import Path
@@ -40,3 +42,33 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _kind_comparisons(source: str) -> list[str]:
+    """The innermost enclosing function of each comparison with a `.kind` operand."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Compare) and any(
+                isinstance(x, ast.Attribute) and x.attr == "kind"
+                for x in (node.left, *node.comparators)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_checker_sees_a_kind_comparison():
+    src = ("def f(m):\n    return m.kind == 'a' or 'b' != m.kind\n"
+           "def g(m):\n    def h():\n        return m.kind in ('c',)\n    return f'{m.kind}'\n")
+    assert _kind_comparisons(src) == ["f", "f", "h"]
+
+
+def test_kind_is_compared_only_in_the_solver_table():
+    found = [(path.name, where) for path in MODULES
+             for where in _kind_comparisons(path.read_text())]
+    assert found == [("asymptotics.py", "solver_for")]
