@@ -10,7 +10,7 @@ and the per-entry provenance records which solver produced each value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -58,36 +58,40 @@ def make_series(budgets, errors, p, s, provenance=()) -> CoeffSeries:
 
 def solver_for(m: Measure, p, solver: str = "auto", n_max: int = 1,
                cfg: SolverConfig | None = None, grid_size: int | None = None):
-    """The one solver table: the resolved name and solve(N, seed) -> Quantizer.
-
-    "auto" is "cantor" for an IFS at p = inf, "dp" at finite p for a measure
-    with a 1D law and no curve (a density1d), else "lloyd" (with cfg). "dp"
-    is one exact `Dp1dSolver` build for every N <= n_max. "cantor" (the
-    middle-thirds IFS: exact covers) and "farthest-point" (the greedy cover
-    of cfg.sample_size(d) draws, Lloyd's working sample) serve p = inf only.
-    Any other case raises ValueError.
+    """The one solver table, and the one place that decides p = inf: the
+    resolved name and solve(N, seed) -> Quantizer. "dp" (one exact
+    `Dp1dSolver` build for every N <= n_max) and "lloyd" (with cfg) serve
+    finite p; "cantor" (exact covers of the middle-thirds Cantor measure:
+    label "cantor", no law) and "farthest-point" (the greedy cover of
+    cfg.sample_size(d) draws, a "sample-max") serve p = inf. "auto" is
+    "cantor" at p = inf, else "dp" for a measure with a 1D law and no curve,
+    else "lloyd". Any other case raises ValueError before a row is built.
     """
     p = check_order(p)
+    at_inf = math.isinf(p)
     if solver == "auto":
-        solver = ("cantor" if math.isinf(p) and m.kind == "ifs" else
-                  "dp" if m.law is not None and m.curve is None and not math.isinf(p)
-                  else "lloyd")
+        solver = "cantor" if at_inf else "dp" if m.law is not None and m.curve is None else "lloyd"
+    if solver not in (("cantor", "farthest-point") if at_inf else ("dp", "lloyd")):
+        raise ValueError(f"no solver '{solver}' at p = {p}: dp and lloyd serve finite p, "
+                         "cantor and farthest-point p = inf only")
+    if solver == "cantor" and (m.label != "cantor" or m.law is not None):
+        raise ValueError("exact p = inf covers: the middle-thirds Cantor measure only")
     if solver == "dp":
         dp = Dp1dSolver(m, p, n_max=n_max, grid_size=grid_size)
         return solver, lambda N, seed: dp.solve(N)
     if solver == "lloyd":
         return solver, lambda N, seed: lloyd(m, N, p, cfg=cfg, seed=seed)
-    if solver not in ("cantor", "farthest-point"):
-        raise ValueError(f"unknown solver pipeline '{solver}'")
-    if not math.isinf(p) or solver == "cantor" and m.label != "cantor":
-        raise ValueError("cantor (the Cantor measure only) and farthest-point serve p = inf only")
     if solver == "cantor":
         return solver, lambda N, seed: Quantizer(
             cantor_cover(N)[0], N, INF, ErrorEstimate(cantor_covering_radius(N), 0.0, 0, "sup"),
             Provenance("cantor-exact", None, 0, True))
     n = (cfg or SolverConfig()).sample_size(m.ambient_dim)
-    return solver, lambda N, seed: farthest_point_cover(
-        sample(m, n, derive_seed(seed, "fpc-sample")), N, seed=derive_seed(seed, "fpc"))
+
+    def cover(N, seed):  # the radius over n draws: a lower bound on the measure's sup
+        q = farthest_point_cover(sample(m, n, derive_seed(seed, "fpc-sample")), N,
+                                 seed=derive_seed(seed, "fpc"))
+        return replace(q, error=ErrorEstimate(q.error.value, 0.0, n, "sample-max"))
+    return solver, cover
 
 
 def coeff_sequence(m: Measure, p, s: float, budgets, solver: str = "auto",
@@ -268,7 +272,7 @@ def quantizability_probe(m: Measure, p, s: float, mass_fractions,
     decreasing column is consistent with (p, s)-quantizability; this
     diagnostic can falsify but never certify it.
     """
-    p = check_order(p)
+    p = check_finite_order(p)
     rows = []
     base_cloud = sample(m, 4096, derive_seed(seed, "probe-base"))
     x0 = base_cloud.points.mean(axis=0)

@@ -212,25 +212,23 @@ def rand_quant_bound(m: Measure, nu: Measure, p, s: float, N: int,
 # decaying annuli mixture
 
 class RadialMeasure:
-    """Locally finite measure seen through its radial structure around x0.
+    """Locally finite measure seen radially around x0, the centre `decaying_mixture` takes.
 
     `ball_mass(r)` is nu(B_r(x0)); `sample_annulus(rng, n, r_in, r_out)`
     draws from the normalized restriction to B_r_out \\ B_r_in.
     """
 
-    def __init__(self, ball_mass, sample_annulus, ambient_dim=1, x0=0.0):
+    def __init__(self, ball_mass, sample_annulus, ambient_dim=1):
         self.ball_mass = ball_mass
         self.sample_annulus = sample_annulus
         self.ambient_dim = ambient_dim
-        self.x0 = _as_point(x0, ambient_dim)
 
 
 def lebesgue_halfline() -> RadialMeasure:
     """Lebesgue measure on [0, inf) around x0 = 0."""
     return RadialMeasure(
         ball_mass=lambda r: max(float(r), 0.0),
-        sample_annulus=lambda rng, n, a, b: rng.uniform(a, b, size=(n, 1)),
-        ambient_dim=1, x0=0.0)
+        sample_annulus=lambda rng, n, a, b: rng.uniform(a, b, size=(n, 1)))
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,19 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .asymptotics import (coeff_sequence, estimate_coefficients, make_series,
-                          solver_for, spatial_histogram, zador_prediction)
+from .asymptotics import (coeff_sequence, estimate_coefficients, solver_for,
+                          spatial_histogram, zador_prediction)
 from .bounds import conc_lower_bound, conc_upper_bound, sandwich_check
 from .error import error_eval
 from .measures import (Curve, IfsSpec, curve_measure, density1d,
                        derive_seed, empirical, hausdorff_curve_measure,
                        ifs_measure, quarter_circle, sample, uniform_box)
-from .solvers import SolverConfig, cantor_covering_radius
+from .solvers import SolverConfig
 from .spatial import SpatialIndex, _as_points, hausdorff_density
 
 TASKS = ("quantize", "error", "coeff", "zador-check", "density", "bounds",
          "distribution", "cantor")
+_CANTOR = {"kind": "ifs", "ratios": [1 / 3] * 2, "offsets": [[0], [2 / 3]], "weights": [0.5] * 2}
 
 _MEASURE_SCHEMA = {
     "type": "object",
@@ -310,16 +311,12 @@ def _task_distribution(cfg, out):
 
 
 def _task_cantor(cfg, out):
-    budgets = cfg["budgets"]
     s = math.log(2.0) / math.log(3.0)
-    errors = [cantor_covering_radius(n) for n in budgets]
-    series = make_series(budgets, errors, math.inf, s)
-    write_series_csv(os.path.join(out, "series.csv"), series)
-    est = estimate_coefficients(series, cfg.get("tail_fraction", 0.5))
-    pow2 = [n for n in budgets if n & (n - 1) == 0]
-    logN = np.log(pow2)
-    loge = -np.log([cantor_covering_radius(n) for n in pow2])
-    slope = float(np.polyfit(loge, logN, 1)[0]) if len(pow2) >= 2 else float("nan")
+    _, _, series, est = _series(dict(cfg, measure=_CANTOR, p="inf", s=s, solver={}), out)
+    pow2 = series.budgets & (series.budgets - 1) == 0
+    logN = np.log(series.budgets[pow2])
+    loge = -np.log(series.errors[pow2])
+    slope = float(np.polyfit(loge, logN, 1)[0]) if pow2.sum() >= 2 else float("nan")
     return {
         "series": [list(r) for r in series.rows()],
         "estimates": {"lower": est.lower, "upper": est.upper},

@@ -294,7 +294,7 @@ class Measure:
 
     Consumers route by `curve`, then `law`, then `density`, and read
     `intrinsic_dim` to tell a singular measure; `kind` and `label` only name
-    a measure and seed its restriction (`solver_for`'s p = inf IFS row aside).
+    a measure and seed its restriction (label "cantor" admits exact covers).
     """
 
     kind: str

@@ -399,3 +399,60 @@ def test_zador_functional_of_a_box_is_its_closed_form(lo, hi, p):
     closed = ((1 / vol) ** (m / (m + p)) * vol) ** ((m + p) / (m * p))
     got = ql.zador_functional(ql.uniform_box(lo, hi), m, p)
     assert abs(got - closed) <= 4 * np.spacing(closed)
+
+
+@pytest.mark.parametrize("make", [
+    ql.uniform_interval,
+    lambda: ql.curve_measure(ql.quarter_circle(64)),
+    lambda: ql.uniform_box([0, 0], [1, 1]),
+], ids=["interval", "curve", "box"])
+def test_auto_at_p_inf_refuses_all_but_the_cantor_measure(make):
+    # refused up front, not a series of Lloyd gaps
+    with pytest.raises(ValueError, match="Cantor"):
+        ql.coeff_sequence(make(), np.inf, 1.0, [2, 4])
+
+
+def test_solver_for_checks_the_order_before_building_a_row(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr("quantlab.asymptotics.lloyd", never)
+    monkeypatch.setattr("quantlab.asymptotics.Dp1dSolver", never)
+    m = ql.uniform_interval()
+    for solver in ("lloyd", "dp"):
+        with pytest.raises(ValueError, match="serve finite p"):
+            solver_for(m, np.inf, solver)
+    for solver in ("cantor", "farthest-point"):
+        with pytest.raises(ValueError, match="p = inf only"):
+            solver_for(m, 2, solver)
+    with pytest.raises(ValueError, match="no solver 'newton'"):
+        solver_for(m, 2, "newton")
+
+
+def test_cantor_row_needs_the_cantor_measure_not_its_label():
+    # a density labelled "cantor" has a law: the Cantor covers' radius is not its sup
+    lin = ql.density1d(lambda x: 2 * np.asarray(x), (0, 1), label="cantor")
+    for solver in ("cantor", "auto"):
+        with pytest.raises(ValueError, match="Cantor"):
+            solver_for(lin, np.inf, solver)
+    assert solver_for(ql.ifs_measure(ql.cantor_ifs()), np.inf, "cantor")[0] == "cantor"
+
+
+def test_farthest_point_row_reports_a_sample_max():
+    # the greedy radius over the working sample is a lower bound on the measure's sup
+    m = ql.uniform_interval()
+    _, solve = solver_for(m, np.inf, "farthest-point", cfg=ql.SolverConfig(working_sample=200))
+    q = solve(5, 0)
+    exact = ql.error_eval(m, q.points, np.inf)
+    assert (q.error.method, q.error.n_samples) == ("sample-max", 200)
+    assert exact.method == "sup" and q.error.value <= exact.value
+    # on a cloud the radius is the cloud's exact sup
+    assert ql.farthest_point_cover(ql.sample(m, 200, 1), 5).error.method == "sup"
+
+
+def test_quantizability_probe_refuses_p_inf_before_restricting(monkeypatch):
+    calls = []
+    monkeypatch.setattr("quantlab.asymptotics.restrict", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="finite p only"):
+        ql.quantizability_probe(ql.uniform_interval(), np.inf, 1.0, [0.5])
+    assert calls == []

@@ -316,7 +316,7 @@ def test_decaying_mixture_drops_empty_annuli():
     gap = ql.RadialMeasure(
         ball_mass=lambda r: min(r, 1.0) + max(r - 4.0, 0.0),
         sample_annulus=lambda rng, n, a, b: rng.uniform(a, b, size=(n, 1)),
-        ambient_dim=1, x0=0.0)
+        ambient_dim=1)
     mix = ql.decaying_mixture(gap, 0.0, alpha=2.0, beta=4.0, R0=1.0)
     assert len(mix.dropped) >= 1
     assert mix.weights.sum() == pytest.approx(1.0, abs=1e-12)

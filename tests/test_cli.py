@@ -339,7 +339,7 @@ def test_distribution_task_farthest_point_in_boxes(tmp_path):
     left, right, outside = res["fractions"]
     assert left + right == pytest.approx(1.0) and outside == 0.0
     assert 0.25 <= left <= 0.75  # greedy spreads the cover over the square
-    assert res["error"]["method"] == "sup" and 0 < res["error"]["value"] < 0.5
+    assert res["error"]["method"] == "sample-max" and 0 < res["error"]["value"] < 0.5
 
 
 _CANTOR_SPEC = {"kind": "ifs", "ratios": [1 / 3, 1 / 3], "offsets": [[0], [2 / 3]],
@@ -400,3 +400,19 @@ def test_farthest_point_at_finite_p_is_a_numeric_failure(tmp_path, capsys):
                                          "solver": {"name": "farthest-point"}})
     assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "p = inf only" in capsys.readouterr().err
+
+
+def test_density_task_counts_draws_where_a_measure_has_no_ball_function(tmp_path):
+    # a curve measure carries no ball function, so the task scans a kd-tree over its draws
+    cfg = write_cfg(tmp_path, "h.json", {
+        "task": "density", "seed": 3, "s": 1.0, "n_mc": 20000,
+        "measure": {"kind": "curve", "shape": "quarter-circle", "segments": 64},
+        "point": [0.6, 0.8], "delta": 0.1,
+    })
+    out = str(tmp_path / "out")
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    res = read_report(out)["results"]
+    assert res["method"] == "empirical" and not res["outside_support"]
+    # the arc-length probability has density 2/pi: mu(B_r(x)) / (2r) -> 2/pi
+    assert res["lower"] <= 2 / math.pi <= res["upper"]
+    assert res["upper"] - res["lower"] < 0.3

@@ -400,3 +400,39 @@ def test_hull_keeps_tail_cells_whose_mass_rounds_away_in_the_cdf():
     assert law.cdf(0.9) == law.cdf(0.8)
     hl, hr, has = law.hull(np.array([0.8, 0.5]), np.array([0.9, 1.5]))
     assert has.all() and np.array_equal(hl, [0.8, 0.5]) and np.array_equal(hr, [0.9, 1.0])
+
+
+@pytest.mark.parametrize("cx, cy, r, box", [
+    (0.5, 0.9, 0.2, (0.0, 1.0, 0.0, 1.0)),
+    (0.15, 0.95, 0.1, (0.0, 1.0, 0.0, 1.0)),
+    (1.0, 0.4, 0.3, (0.0, 2.0, -1.0, 0.5)),
+])
+def test_disk_box_area_when_the_disk_crosses_only_the_top_edge(cx, cy, r, box):
+    # oracle: quadrature over x of each column's height inside the box,
+    # told where the circle meets the top edge
+    from quantlab.measures import disk_box_area
+    x0, x1, y0, y1 = box
+    assert y0 < cy - r and cy + r > y1
+
+    def height(x):
+        g = np.sqrt(max(r * r - (x - cx) ** 2, 0.0))
+        return max(0.0, min(cy + g, y1) - max(cy - g, y0))
+
+    kink = np.sqrt(r * r - (y1 - cy) ** 2)
+    ref, _ = quad(height, max(x0, cx - r), min(x1, cx + r),
+                  points=[cx - kink, cx + kink], epsabs=0, epsrel=1e-13, limit=200)
+    assert disk_box_area(cx, cy, r, *box) == pytest.approx(ref, rel=1e-11)
+
+
+def test_similarity_dimension_above_one():
+    # the Sierpinski maps: three halvings, s = log 3 / log 2
+    spec = ql.IfsSpec((0.5, 0.5, 0.5), [[0, 0], [0.5, 0], [0.25, 0.5]], (1 / 3, 1 / 3, 1 / 3))
+    assert spec.similarity_dim == pytest.approx(np.log(3) / np.log(2), rel=1e-12)
+
+
+def test_uniform_box_in_one_dimension_is_the_uniform_interval():
+    m = ql.uniform_box([2.0], [5.0])
+    assert m.kind == "density1d" and (m.law.lo, m.law.hi) == (2.0, 5.0)
+    assert m.total_mass == pytest.approx(1.0, rel=1e-13)
+    # one site at the centre: e_2 = 1.5 / sqrt(3)
+    assert ql.error_eval(m, [[3.5]], 2).value == pytest.approx(1.5 / np.sqrt(3), rel=1e-12)

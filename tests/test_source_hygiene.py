@@ -1,7 +1,7 @@
 """Source checks that need no import of the package: every name a module
 imports is used in it, so a dead import cannot come back unseen, and a
-measure's `kind` routes in one place only, so consumers read what a measure
-carries (its curve, law, density and intrinsic dimension) instead."""
+measure's `kind` routes nowhere, so consumers read what a measure carries
+(its curve, law, density and intrinsic dimension) instead."""
 
 import ast
 from pathlib import Path
@@ -71,4 +71,4 @@ def test_the_checker_sees_a_kind_comparison():
 def test_kind_is_compared_only_in_the_solver_table():
     found = [(path.name, where) for path in MODULES
              for where in _kind_comparisons(path.read_text())]
-    assert found == [("asymptotics.py", "solver_for")]
+    assert found == []
